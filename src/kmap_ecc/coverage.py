@@ -3,6 +3,7 @@ and the minimum-parity feasibility search."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -167,50 +168,65 @@ class Theorem4Report:
 
 def theorem4_check(n: int = 7) -> Theorem4Report:
     """Exhaustively confirm that no 3-data placement keeps all <=2-bit
-    syndromes and all C(n,3) P_lP_mP_n squares simultaneously distinct."""
+    syndromes and all C(n,3) P_lP_mP_n squares simultaneously distinct.
+
+    A P_lP_mP_n square is hit by a <=2-bit pattern exactly when a data bit
+    of weight 2..4 or a data pair at distance 3 exists, so a valid trio
+    survives iff each data subset D of at most two bits has
+    ``|D| + weight(XOR of D) >= 6``: weights >= 5, pairwise distance >= 4.
+    """
     check_width(n)
-    units = [1 << b for b in range(n)]
-    ppp = [a ^ b ^ c for a, b, c in combinations(units, 3)]
     singles = [x for x in range(1, 1 << n) if not _collides((x,), n)]
-    survivors = []
-    checked = 0
-    for trio in combinations(singles, 3):
-        checked += 1
-        if _collides(trio, n):
-            continue
-        syndromes = _le2_syndromes(trio, n) + ppp
-        if len(set(syndromes)) == len(syndromes):
-            survivors.append(trio)
-    return Theorem4Report(n, not survivors, len(singles), checked, tuple(survivors))
-
-
-def _le2_syndromes(data, n: int) -> list[int]:
-    codes = list(data) + [1 << b for b in range(n)]
-    return [0] + codes + [a ^ b for a, b in combinations(codes, 2)]
+    heavy = [x for x in singles if not _collides((x,), n, 6)]
+    apart = {a: {b for b in heavy if not _collides((a, b), n, 6)} for a in heavy}
+    survivors = tuple(
+        (a, b, c) for a, b, c in combinations(heavy, 3)
+        if b in apart[a] and c in apart[a] and c in apart[b]
+        and not _collides((a, b, c), n))
+    return Theorem4Report(n, not survivors, len(singles),
+                          math.comb(len(singles), 3), survivors)
 
 
 # ---------------------------------------------------------------------------
 # minimum-parity feasibility
 # ---------------------------------------------------------------------------
 
+def _kind(idx, d: int) -> str:
+    nx = sum(1 for i in idx if i < d)
+    return "X" * nx + "P" * (len(idx) - nx) if idx else "zero"
+
+
 def _first_collision_kind(data, n: int) -> tuple[str, str] | None:
     """None when every <=3-bit pattern owns a distinct syndrome, else the
-    kinds of the first colliding pattern pair, e.g. ("XXP", "XPP")."""
-    codes = list(data) + [1 << b for b in range(n)]
+    kinds of the first colliding pattern pair, e.g. ("XXP", "XPP").
+
+    "First" is in the order patterns are listed: by size, then by index
+    over X_1..X_d, P_1..P_n; the later pattern is named first.  Two
+    patterns collide iff their symmetric difference is a nonzero codeword,
+    here a data subset D plus the parities of XOR D, of weight w <= 6 (the
+    walk of :func:`kmap_ecc.placement._collides` at bound 7).  The earliest
+    collision splits one such codeword as evenly as possible: the later
+    pattern is the first ceil(w/2) members of the codeword (after its least
+    member when w is even) and the earlier pattern is the rest.
+    """
     d = len(data)
-    def kind(idx):
-        nx = sum(1 for i in idx if i < d)
-        return "X" * nx + "P" * (len(idx) - nx)
-    seen = {0: "zero"}
-    for r in (1, 2, 3):
-        for idx in combinations(range(len(codes)), r):
-            s = 0
-            for i in idx:
-                s ^= codes[i]
-            if s in seen:
-                return (kind(idx), seen[s])
-            seen[s] = kind(idx)
-    return None
+    sums = [((), 0)]
+    best = None
+    for i, x in enumerate(data):
+        grown = [(idx + (i,), s ^ x) for idx, s in sums if len(idx) < 6]
+        sums += grown
+        for idx, s in grown:
+            w = len(idx) + s.bit_count()
+            if w <= 6:
+                h, skip = (w + 1) // 2, 1 - w % 2
+                word = idx + tuple(d + k for k in range(n) if s >> k & 1)
+                key = (h, word[skip:skip + h])
+                if best is None or key < best[0]:
+                    best = (key, word)
+    if best is None:
+        return None
+    (_, later), word = best
+    return _kind(later, d), _kind(tuple(c for c in word if c not in later), d)
 
 
 @dataclass(frozen=True)
@@ -289,46 +305,60 @@ def _pruned_min_parity(n: int) -> MinParityReport:
                            dict(sorted(fails.items())), witness)
 
 
+def _members(mask: int):
+    """Set bits of an int bitset, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _pair_masks(n: int) -> dict[int, int]:
+    """For every code at distance >= 7 on its own, ascending: the bitset of
+    the codes above it that keep distance >= 7 as a pair with it."""
+    singles = [x for x in range(1 << n) if not _collides((x,), n, 7)]
+    return {a: sum(1 << b for b in singles if b > a and not _collides((a, b), n, 7))
+            for a in singles}
+
+
+def _covering_walk(n: int, mask: dict[int, int]):
+    """Yield ``(a, b, thirds, covering)`` for every pair a < b of `mask`,
+    lexicographically.  `thirds` holds the c > b that pair with both a and
+    b; `covering` those of them with weight(a ^ b ^ c) >= 4, the last
+    condition of distance >= 7 for three data bits."""
+    ball = [sum(bits) for r in range(4)
+            for bits in combinations([1 << k for k in range(n)], r)]
+    everything = (1 << (1 << n)) - 1
+    far: dict[int, int] = {}
+    for a, partners in mask.items():
+        for b in _members(partners):
+            thirds = partners & mask[b]
+            x = a ^ b
+            if x not in far:
+                far[x] = everything ^ sum(1 << (x ^ t) for t in ball)
+            yield a, b, thirds, thirds & far[x]
+
+
 def _unpruned_min_parity(n: int) -> MinParityReport:
-    size = 1 << n
-    singles = [x for x in range(size) if _first_collision_kind((x,), n) is None]
-    pair_ok: dict[int, list[int]] = {a: [] for a in singles}
-    for i, a in enumerate(singles):
-        for b in singles[i + 1:]:
-            if _first_collision_kind((a, b), n) is None:
-                pair_ok[a].append(b)
-    pairs = sum(len(v) for v in pair_ok.values())
-    covering = 0
+    mask = _pair_masks(n)
+    triples = covering = 0
     witness = None
-    triples = 0
-    for a in singles:
-        bs = pair_ok[a]
-        for b in bs:
-            cset = set(pair_ok[b])
-            for c in bs:
-                if c <= b or c not in cset:
-                    continue
-                triples += 1
-                if _first_collision_kind((a, b, c), n) is None:
-                    covering += 1
-                    if witness is None:
-                        witness = (a, b, c)
-    return MinParityReport(n, False, len(singles), pairs, triples, covering, {}, witness)
+    for a, b, thirds, cover in _covering_walk(n, mask):
+        triples += thirds.bit_count()
+        covering += cover.bit_count()
+        if cover and witness is None:
+            witness = (a, b, next(_members(cover)))
+    return MinParityReport(n, False, len(mask), sum(m.bit_count() for m in mask.values()),
+                           triples, covering, {}, witness)
 
 
 def full_coverage_search(n: int, limit: int = 1) -> list[Placement]:
-    """First `limit` 3-data placements covering every <=3-bit error, unpruned."""
+    """First `limit` 3-data placements covering every <=3-bit error, unpruned,
+    in lexicographic order."""
     out = []
-    size = 1 << n
-    singles = [x for x in range(size) if _first_collision_kind((x,), n) is None]
-    for i, a in enumerate(singles):
-        for j in range(i + 1, len(singles)):
-            b = singles[j]
-            if _first_collision_kind((a, b), n) is not None:
-                continue
-            for c in singles[j + 1:]:
-                if _first_collision_kind((a, b, c), n) is None:
-                    out.append(Placement(n, (a, b, c)))
-                    if len(out) >= limit:
-                        return out
+    for a, b, _thirds, cover in _covering_walk(n, _pair_masks(n)):
+        for c in _members(cover):
+            if len(out) >= limit:
+                return out
+            out.append(Placement(n, (a, b, c)))
     return out

@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .kcode import check_code, check_width, parity_code, weight
+from .kcode import (check_code, check_width, n_class, parity_code, side_squares,
+                    weight)
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Footprint", "Collision",
@@ -233,8 +234,7 @@ def theorem1_overlap(a: int, b: int, n: int) -> int:
     """Count of shared order-2 side squares for a distance-4 pair (always 6)."""
     if (a ^ b).bit_count() != 4:
         raise ValueError("theorem1_overlap requires Hamming distance exactly 4")
-    sa = set(_side_exact(a, 2, n))
-    return len(sa.intersection(_side_exact(b, 2, n)))
+    return len(set(side_squares(a, 2, n)).intersection(side_squares(b, 2, n)))
 
 
 def theorem2_overlap(a: int, b: int, n: int) -> int:
@@ -244,16 +244,6 @@ def theorem2_overlap(a: int, b: int, n: int) -> int:
     if (a ^ b).bit_count() != 3:
         raise ValueError("theorem2_overlap requires Hamming distance exactly 3")
     return len(_sides12(n)[a] & _sides12(n)[b])
-
-
-def _side_exact(code: int, order: int, n: int) -> list[int]:
-    out = []
-    for bits in combinations(range(n), order):
-        y = code
-        for b in bits:
-            y ^= 1 << b
-        out.append(y)
-    return out
 
 
 def forbidden_squares(x1: int, x2: int, n: int) -> frozenset[int]:
@@ -324,18 +314,29 @@ def is_valid(p: Placement) -> bool:
     return not _collides(p.data, p.n)
 
 
-def _collides(data: Sequence[int], n: int) -> bool:
-    codes = list(data) + [1 << b for b in range(n)]
-    seen = {0}
-    for c in codes:
-        if c in seen:
-            return True
-        seen.add(c)
-    for a, b in combinations(codes, 2):
-        s = a ^ b
-        if s in seen:
-            return True
-        seen.add(s)
+def _collides(data: Sequence[int], n: int, bound: int = 5) -> bool:
+    """True iff the code with data-bit codes `data` has minimum distance
+    below `bound`: some nonempty data subset D with |D| < bound has
+    ``|D| + weight(XOR of D) < bound``.
+
+    Each nonzero codeword is a data subset D plus the parity bits of XOR D,
+    and two distinct error patterns of at most t bits share a syndrome iff
+    their difference is a codeword of weight <= 2t.  So ``bound=5`` asks
+    whether two <=2-bit patterns collide (the validity rule) and
+    ``bound=7`` whether two <=3-bit patterns do.  The cost is C(d, <bound)
+    popcounts; `n` does not enter, as each parity bit's code is a unit.
+    """
+    sums = [(0, 0)]
+    for x in data:
+        grown = []
+        for size, s in sums:
+            size += 1
+            if size < bound:
+                s ^= x
+                if size + s.bit_count() < bound:
+                    return True
+                grown.append((size, s))
+        sums += grown
     return False
 
 
@@ -401,9 +402,9 @@ class SearchStats:
     placements_emitted: int = 0
 
 
-def _weight_classes(n: int) -> dict[int, tuple[int, ...]]:
-    return {w: tuple(sorted(x for x in range(1 << n) if weight(x) == w))
-            for w in range(n + 1)}
+def _weight_class(w: int | None, n: int) -> tuple[int, ...]:
+    """:func:`n_class`, or no codes for a weight no n-bit code has."""
+    return n_class(w, n) if w in range(n + 1) else ()
 
 
 @lru_cache(maxsize=8)
@@ -424,9 +425,9 @@ def naive_search(n: int, d: int, stats: SearchStats | None = None) -> Iterator[P
 
 
 def _pairs_of_situation(n: int, w1: int, w2: int, dist: int) -> Iterator[tuple[int, int]]:
-    classes = _weight_classes(n)
-    for x1 in classes.get(w1, ()):
-        for x2 in classes.get(w2, ()):
+    c2 = _weight_class(w2, n)
+    for x1 in _weight_class(w1, n):
+        for x2 in c2:
             if x2 != x1 and (x1 ^ x2).bit_count() == dist:
                 yield x1, x2
 
@@ -484,7 +485,7 @@ def guided_search(
         return
 
     if d == 1:
-        for x1 in sorted(set(_weight_classes(n)[4]) | set(_weight_classes(n)[5])):
+        for x1 in sorted(_weight_class(4, n) + _weight_class(5, n)):
             stats.candidates_evaluated += 1
             stats.placements_emitted += 1
             yield Placement(n, (x1,))
@@ -506,12 +507,12 @@ def guided_search(
 def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Iterator[Placement]:
     w1, w2, w3 = (cls.weights + (None, None, None))[:3]
     d12, d13, d23 = (cls.distances + (None, None, None))[:3]
-    classes = _weight_classes(n)
+    c1, c2, c3 = (_weight_class(w, n) for w in (w1, w2, w3))
     table = _sides12(n)
     parity_all = parity_footprint(n).all
-    for x1 in classes.get(w1, ()):
+    for x1 in c1:
         stats.candidates_evaluated += 1
-        for x2 in classes.get(w2, ()):
+        for x2 in c2:
             if x2 == x1:
                 continue
             stats.candidates_evaluated += 1
@@ -523,7 +524,7 @@ def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Ite
                 continue
             blocked = parity_all | {x1, x2} | table[x1] | table[x2]
             marks = forbidden_squares(x1, x2, n)
-            for x3 in classes.get(w3, ()):
+            for x3 in c3:
                 stats.candidates_evaluated += 1
                 if (x1 ^ x3).bit_count() != d13 or (x2 ^ x3).bit_count() != d23:
                     continue

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kmap_ecc import reference_placements
+from kmap_ecc import min_parity_search, reference_placements
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -17,7 +17,7 @@ _criterion_results: dict[tuple[int, str], list[bool]] = defaultdict(list)
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "criterion(num, name): acceptance criterion this test checks")
-    config.addinivalue_line("markers", "slow: takes tens of seconds")
+    config.addinivalue_line("markers", "slow: runs a full n=10 min-parity sweep")
 
 
 def pytest_runtest_logreport(report):
@@ -58,3 +58,9 @@ def refs():
 @pytest.fixture(scope="session")
 def fixture_dir():
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def min_parity_10():
+    """The pruned n=10 min-parity sweep, run once for every test that reads it."""
+    return min_parity_search(10)

@@ -354,8 +354,8 @@ def test_c10_min_parity_fast(n, expect_pairs):
 
 @pytest.mark.criterion(10, "min-parity infeasibility")
 @pytest.mark.slow
-def test_c10_min_parity_10():
-    report = min_parity_search(10)
+def test_c10_min_parity_10(min_parity_10):
+    report = min_parity_10
     assert report.infeasible
     assert report.triples_meeting_conditions > 0
 

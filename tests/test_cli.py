@@ -137,6 +137,14 @@ def test_coverage_minparity_8(capsys):
     assert rec["infeasible"] is True and rec["pairs_meeting_conditions"] > 0
 
 
+@pytest.mark.parametrize("n", ["3", "13"])
+def test_coverage_minparity_width_out_of_range_is_usage_error(capsys, n):
+    code, out, err = run_cli(capsys, "coverage", "minparity", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "[4, 12]" in err
+
+
 def test_burst_check_and_search(capsys, placement_files):
     code, out, _ = run_cli(capsys, "burst", "check",
                            "--placement", placement_files["s447_433"],

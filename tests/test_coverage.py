@@ -183,11 +183,11 @@ def test_min_parity_9_infeasible_names_failure():
 
 
 @pytest.mark.slow
-def test_min_parity_10_infeasible():
-    report = min_parity_search(10)
+def test_min_parity_10_infeasible(min_parity_10):
+    report = min_parity_10
     assert report.infeasible
     assert report.triples_meeting_conditions == 264600
-    assert set(report.failure_kinds) == {"XXP=XPP", "PPP=XPP"}
+    assert report.failure_kinds == {"PPP=XPP": 189000, "XXP=XPP": 75600}
 
 
 def test_unpruned_search_refutes_the_claim_at_10():

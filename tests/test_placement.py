@@ -188,6 +188,11 @@ def test_guided_emits_valid_4_data_placement():
     assert p.d == 4 and is_valid(p)
 
 
+def test_guided_at_width_4_has_no_weight_5_class():
+    assert [p.data for p in guided_search(4, 1)] == [(15,)]
+    assert list(guided_search(4, 2)) == []
+
+
 def test_guided_placements_all_valid_sample():
     for p in islice(guided_search(7, 3), 200):
         assert is_valid(p)
