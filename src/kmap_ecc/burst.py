@@ -6,7 +6,6 @@ import re
 from dataclasses import dataclass
 from .coverage import CoverageReport
 from .placement import ErrorPattern
-from .parallel import pmap
 
 __all__ = ["Ordering", "burst_triples", "is_burst_safe", "failing_window",
            "BurstGroup", "BurstCensus", "search_orderings"]
@@ -111,38 +110,60 @@ class BurstCensus:
                 "groups": [g.to_json() for g in self.groups]}
 
 
-def _dfs(prefix: list, remaining: list, covered, out: list) -> None:
-    if len(prefix) >= BURST_LENGTH:
-        if _window_pattern(prefix[-BURST_LENGTH:]) not in covered:
+def _allowed_thirds(report: CoverageReport) -> tuple[int, list[int]]:
+    """Code bits numbered 0..m-1 (X_1..X_d, then P_1..P_n) and a flat table:
+    ``allowed[a*m + b]`` is the bitset of the bits c for which {a, b, c} is a
+    covered triple."""
+    d, m = report.placement.d, report.placement.d + report.placement.n
+    allowed = [0] * (m * m)
+    for pat in report.covered_patterns():
+        a, b, c = sorted([i - 1 for i in pat.data] + [d + k - 1 for k in pat.parities])
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            allowed[x * m + y] |= 1 << z
+            allowed[y * m + x] |= 1 << z
+    return m, allowed
+
+
+def _walk(m: int, allowed: list[int]) -> list[tuple[int, ...]]:
+    """Every ordering of 0..m-1 whose windows of three are all allowed, in
+    lexicographic order: a DFS on the last two bits and the unused ones."""
+    out: list[tuple[int, ...]] = []
+    path = [0] * m
+
+    def extend(depth: int, a: int, b: int, remaining: int) -> None:
+        if not remaining:
+            out.append(tuple(path))
             return
-    if not remaining:
-        out.append(tuple(prefix))
-        return
-    for i, sym in enumerate(remaining):
-        prefix.append(sym)
-        _dfs(prefix, remaining[:i] + remaining[i + 1:], covered, out)
-        prefix.pop()
+        cand = remaining & allowed[a * m + b]
+        while cand:
+            low = cand & -cand
+            path[depth] = c = low.bit_length() - 1
+            extend(depth + 1, b, c, remaining ^ low)
+            cand ^= low
 
-
-def _search_part(args) -> list:
-    first, rest, covered = args
-    out: list = []
-    _dfs([first], list(rest), covered, out)
+    full = (1 << m) - 1
+    for a in range(m):
+        for b in range(m):
+            if a != b:
+                path[0], path[1] = a, b
+                extend(2, a, b, full ^ (1 << a) ^ (1 << b))
     return out
 
 
 def search_orderings(report: CoverageReport, threads: int = 1) -> BurstCensus:
     """Exhaustive search over all (d+n)! orderings with prefix pruning,
-    grouped by (shape, data-identity assignment)."""
+    grouped by (shape, data-identity assignment).
+
+    ``threads`` is accepted for compatibility and changes nothing: the walk
+    runs in this process.
+    """
     p = report.placement
     symbols = ([("X", i) for i in range(1, p.d + 1)]
                + [("P", k) for k in range(1, p.n + 1)])
-    covered = report.covered_patterns()
-    parts = [(sym, tuple(s for s in symbols if s != sym), covered) for sym in symbols]
-    survivors = [o for part in pmap(_search_part, parts, threads) for o in part]
+    survivors = _walk(*_allowed_thirds(report))
     grouped: dict[tuple, list] = {}
-    for sym_tuple in survivors:
-        o = Ordering(sym_tuple)
+    for path in survivors:
+        o = Ordering(tuple(symbols[i] for i in path))
         grouped.setdefault((o.data_positions, o.data_assignment), []).append(o)
     groups = []
     for (shape, assignment), orderings in sorted(grouped.items()):

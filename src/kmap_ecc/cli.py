@@ -19,8 +19,7 @@ from . import burst as burst_mod
 from . import coverage as coverage_mod
 from . import render as render_mod
 from .codec import Codeword, build_tables, decode, encode
-from .kcode import GrayLayout, default_layout, weight
-from .parallel import thread_count
+from .kcode import MAX_WIDTH, MIN_WIDTH, GrayLayout, default_layout, weight
 from .placement import (Placement, PlacementError, SClass, SearchStats,
                         double_weight_count, guided_search, naive_search,
                         occupied_map, theorem1_overlap, theorem2_overlap,
@@ -39,6 +38,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _width(top: int = MAX_WIDTH, scope: str = ""):
+    """argparse type for ``--n``: a map width in [MIN_WIDTH, top]."""
+    def width(text: str) -> int:
+        n = int(text)
+        if not MIN_WIDTH <= n <= top:
+            raise argparse.ArgumentTypeError(
+                f"must be in [{MIN_WIDTH}, {top}]{scope}, got {n}")
+        return n
+    return width
 
 
 def _load_placement(path: str) -> Placement:
@@ -157,9 +167,16 @@ def _cmd_codec_decode(args) -> int:
     return EXIT_OK if report.status != "uncorrectable" else EXIT_DOMAIN
 
 
+def _three_bit_report(path: str, mode: str = "strict") -> coverage_mod.CoverageReport:
+    p = _load_placement(path)
+    if p.d != 3:
+        raise UsageError("three-bit coverage is defined for 3-data-bit placements, "
+                         f"got d={p.d}")
+    return coverage_mod.three_bit_coverage(p, mode)
+
+
 def _cmd_coverage_report(args) -> int:
-    p = _load_placement(args.placement)
-    report = coverage_mod.three_bit_coverage(p, mode=args.mode)
+    report = _three_bit_report(args.placement, args.mode)
     _emit_json(report.to_json())
     return EXIT_OK
 
@@ -184,25 +201,20 @@ def _cmd_coverage_theorem4(args) -> int:
 
 
 def _cmd_coverage_minparity(args) -> int:
-    top = coverage_mod.MAX_MIN_PARITY_WIDTH
-    if not 4 <= args.n <= top:
-        raise UsageError(f"--n must be in [4, {top}] for minparity, got {args.n}")
     report = coverage_mod.min_parity_search(args.n, pruned=not args.no_pruning)
     _emit_json(report.to_json())
     return EXIT_OK
 
 
 def _cmd_burst_search(args) -> int:
-    p = _load_placement(args.placement)
-    report = coverage_mod.three_bit_coverage(p)
+    report = _three_bit_report(args.placement)
     census = burst_mod.search_orderings(report, threads=args.threads)
     _emit_json(census.to_json())
     return EXIT_OK
 
 
 def _cmd_burst_check(args) -> int:
-    p = _load_placement(args.placement)
-    report = coverage_mod.three_bit_coverage(p)
+    report = _three_bit_report(args.placement)
     try:
         ordering = burst_mod.Ordering.parse(args.ordering)
         bad = burst_mod.failing_window(ordering, report)
@@ -342,15 +354,16 @@ def _cmd_bench(args) -> int:
 def build_parser() -> _Parser:
     top = _Parser(prog="kmap-ecc",
                   description="Karnaugh-map error-correcting code toolkit")
-    top.add_argument("--threads", type=int, default=None,
-                     help="parallel workers (default: KMAP_ECC_THREADS or all cores)")
+    top.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; changes nothing, every "
+                          "command runs in one process")
     sub = top.add_subparsers(dest="command", required=True)
 
     def fmt(p, default="json", choices=("json", "csv", "text")):
         p.add_argument("--format", choices=choices, default=default)
 
     p = sub.add_parser("search", help="emit valid placements as JSON lines")
-    p.add_argument("--n", type=int, default=7)
+    p.add_argument("--n", type=_width(), default=7)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--limit", type=int, default=0, help="stop after this many (0 = all)")
     p.add_argument("--class", dest="sclass", default=None,
@@ -389,17 +402,18 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("strict", "assignable"), default="strict")
     p.set_defaults(fn=_cmd_coverage_report)
     p = vsub.add_parser("census")
-    p.add_argument("--n", type=int, default=7)
+    p.add_argument("--n", type=_width(), default=7)
     p.add_argument("--mode", choices=("strict", "assignable"), default="strict")
     p.add_argument("--full", action="store_true",
                    help="census every reachable class, not just the reference families")
     fmt(p, default="csv")
     p.set_defaults(fn=_cmd_coverage_census)
     p = vsub.add_parser("theorem4")
-    p.add_argument("--n", type=int, default=7)
+    p.add_argument("--n", type=_width(), default=7)
     p.set_defaults(fn=_cmd_coverage_theorem4)
     p = vsub.add_parser("minparity")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True,
+                   type=_width(coverage_mod.MAX_MIN_PARITY_WIDTH, " for minparity"))
     p.add_argument("--no-pruning", action="store_true",
                    help="drop the N_5 weight restriction and walk every code "
                         "(n=10 in well under a second)")
@@ -426,19 +440,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diff", help="compare two grid CSV files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--n", type=int, default=7)
+    p.add_argument("--n", type=_width(), default=7)
     p.add_argument("--layout", default=None)
     p.set_defaults(fn=_cmd_diff)
 
     p = sub.add_parser("verify-theorems", help="brute-force the four theorems")
-    p.add_argument("--n", type=int, default=7)
+    p.add_argument("--n", type=_width(), default=7)
     p.add_argument("--samples", type=int, default=20000,
                    help="sampled pairs for n > 7 (n=7 is exhaustive)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.set_defaults(fn=_cmd_verify_theorems)
 
     p = sub.add_parser("bench", help="guided vs naive candidate counters")
-    p.add_argument("--n", type=int, default=7)
+    p.add_argument("--n", type=_width(), default=7)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=1, help="placements to find")
     p.set_defaults(fn=_cmd_bench)
@@ -450,7 +464,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.threads = thread_count(args.threads)
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -13,7 +13,6 @@ from .kcode import check_width, weight
 from .placement import (ErrorPattern, Placement, SClass, guided_search,
                         require_valid, _collides)
 from .codec import covered_triples, iter_patterns
-from .parallel import pmap
 
 __all__ = [
     "CoverageReport", "three_bit_coverage", "CLASS_KEYS",
@@ -123,8 +122,7 @@ class CensusRow:
         }
 
 
-def _census_row(args) -> CensusRow:
-    family, label, n, mode = args
+def _census_row(family: int, label: str, n: int, mode: str) -> CensusRow:
     cls = SClass.parse(label)
     rep = next(guided_search(n, 3, sclass=cls), None)
     if rep is None:
@@ -138,7 +136,9 @@ def census(n: int = 7, mode: str = "strict", full: bool = False,
     """One representative coverage report per listed class.
 
     With ``full`` the census instead walks every class reachable by the
-    guided search and reports the whole landscape.
+    guided search and reports the whole landscape.  ``threads`` is accepted
+    for compatibility and changes nothing: the rows are computed in this
+    process.
     """
     check_width(n)
     if full:
@@ -146,8 +146,7 @@ def census(n: int = 7, mode: str = "strict", full: bool = False,
         labels = [(0, cls.label) for cls, _ in triple_classes(n)]
     else:
         labels = [(i + 1, lab) for i, fam in enumerate(CENSUS_FAMILIES) for lab in fam]
-    rows = pmap(_census_row, [(fam, lab, n, mode) for fam, lab in labels], threads)
-    return tuple(rows)
+    return tuple(_census_row(fam, lab, n, mode) for fam, lab in labels)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
-
-def thread_count(explicit: int | None = None) -> int:
-    """Explicit flag, else KMAP_ECC_THREADS, else the machine's core count."""
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("KMAP_ECC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
 
 def pmap(fn, items, threads: int = 1) -> list:
     """Order-preserving map, fanned out over processes when threads > 1."""

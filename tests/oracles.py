@@ -1,5 +1,6 @@
 """Brute-force syndrome oracles: the pattern enumerators the distance
-kernel replaced, kept as the reference the kernel is checked against.
+kernel replaced, kept as the reference the kernel is checked against, and
+the pattern-level burst-ordering search the bitset walk replaced.
 
 Each one lists error patterns and their syndromes outright, so it shares
 no reasoning with :func:`kmap_ecc.placement._collides` beyond the codes of
@@ -7,6 +8,8 @@ the parity bits.
 """
 
 from itertools import combinations
+
+from kmap_ecc.placement import ErrorPattern
 
 
 def collides(data, n):
@@ -59,3 +62,39 @@ def theorem4_survives(trio, n):
     units = [1 << b for b in range(n)]
     syndromes = le2_syndromes(trio, n) + [a ^ b ^ c for a, b, c in combinations(units, 3)]
     return len(set(syndromes)) == len(syndromes)
+
+
+def _window(symbols):
+    return ErrorPattern(frozenset(i for k, i in symbols if k == "X"),
+                        frozenset(i for k, i in symbols if k == "P"))
+
+
+def burst_census_json(report):
+    """The burst search's grouped result, by a prefix-pruned DFS over
+    symbol lists that checks each new window of three as an ErrorPattern
+    against ``covered_patterns()``; in the shape of ``BurstCensus.to_json``."""
+    p = report.placement
+    covered = report.covered_patterns()
+    survivors = []
+
+    def dfs(prefix, remaining):
+        if len(prefix) >= 3 and _window(prefix[-3:]) not in covered:
+            return
+        if not remaining:
+            survivors.append(tuple(prefix))
+            return
+        for i, sym in enumerate(remaining):
+            dfs(prefix + [sym], remaining[:i] + remaining[i + 1:])
+
+    dfs([], [("X", i) for i in range(1, p.d + 1)]
+        + [("P", k) for k in range(1, p.n + 1)])
+    groups = {}
+    for o in survivors:
+        key = (tuple(pos for pos, (kind, _) in enumerate(o) if kind == "X"),
+               tuple(i for kind, i in o if kind == "X"))
+        groups.setdefault(key, []).append(o)
+    return {"placement": p.to_json(), "total": len(survivors),
+            "groups": [{"shape": list(shape), "assignment": list(assignment),
+                        "count": len(members),
+                        "representative": ",".join(f"{k}{i}" for k, i in min(members))}
+                       for (shape, assignment), members in sorted(groups.items())]}

@@ -1,13 +1,15 @@
-"""Burst-safe transmission orderings for the 10-bit reference map."""
+"""Burst-safe transmission orderings, mostly for the 10-bit reference map."""
 
+import multiprocessing
 import random
 
 import pytest
 
+import oracles
 from kmap_ecc.burst import (Ordering, burst_triples, failing_window,
                             is_burst_safe, search_orderings)
-from kmap_ecc.coverage import three_bit_coverage
-from kmap_ecc.placement import permute_bits
+from kmap_ecc.coverage import census, three_bit_coverage
+from kmap_ecc.placement import Placement, guided_search, permute_bits
 
 QUOTED = (
     "X1,P7,P3,P6,X3,P2,P4,P1,P5,X2",
@@ -107,3 +109,36 @@ def test_census_threads_deterministic(ref447_report):
     a = search_orderings(ref447_report, threads=1)
     b = search_orderings(ref447_report, threads=2)
     assert a == b
+
+
+#: s447_433, s445_433, then the census(7) representatives of S_444^444 (no
+#: burst-safe ordering), S_454^343 (180 groups) and S_445^453 (8 orderings)
+ORACLE_MAPS = ((106, 86, 127), (106, 86, 79), (15, 51, 85), (15, 55, 83), (15, 51, 117))
+
+
+@pytest.mark.parametrize("data", ORACLE_MAPS, ids=str)
+def test_search_matches_pattern_oracle(data):
+    report = three_bit_coverage(Placement(7, data))
+    assert search_orderings(report).to_json() == oracles.burst_census_json(report)
+
+
+def test_census_at_width_8():
+    p = next(guided_search(8, 3))
+    assert p.data == (15, 51, 85)
+    report = three_bit_coverage(p)
+    cs = search_orderings(report)
+    assert (cs.total, len(cs.groups)) == (24384, 954)
+    by_shape = {}
+    for g in cs.groups:
+        assert is_burst_safe(g.representative, report)
+        by_shape[g.shape] = by_shape.get(g.shape, 0) + g.count
+    for shape, count in by_shape.items():
+        assert by_shape.get(tuple(sorted(10 - pos for pos in shape))) == count
+
+
+def test_search_and_census_start_no_process(monkeypatch, ref447_report):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert search_orderings(ref447_report, 4).total == 640
+    assert census(7, threads=4) == census(7)

@@ -145,6 +145,30 @@ def test_coverage_minparity_width_out_of_range_is_usage_error(capsys, n):
     assert "usage error" in err and "[4, 12]" in err
 
 
+@pytest.mark.parametrize("n", ["3", "17"])
+@pytest.mark.parametrize("argv", [("search", "--d", "3"), ("bench", "--d", "3"),
+                                  ("verify-theorems",), ("coverage", "theorem4"),
+                                  ("coverage", "census")], ids=" ".join)
+def test_width_out_of_range_is_usage_error(capsys, argv, n):
+    code, out, err = run_cli(capsys, *argv, "--n", n)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "[4, 16]" in err
+
+
+@pytest.mark.parametrize("data", [(15, 51), (15, 51, 85, 102)], ids=["d2", "d4"])
+@pytest.mark.parametrize("argv", [("coverage", "report"), ("burst", "search"),
+                                  ("burst", "check", "--ordering", "X1,P1,P2")],
+                         ids=lambda a: " ".join(a[:2]))
+def test_three_bit_commands_refuse_other_data_counts(capsys, tmp_path, argv, data):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(Placement(7, data).to_json()))
+    code, out, err = run_cli(capsys, *argv, "--placement", str(path))
+    assert code == 1
+    assert out == ""
+    assert "usage error: three-bit coverage is defined for 3-data-bit placements" in err
+
+
 def test_burst_check_and_search(capsys, placement_files):
     code, out, _ = run_cli(capsys, "burst", "check",
                            "--placement", placement_files["s447_433"],

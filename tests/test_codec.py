@@ -4,11 +4,13 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmap_ecc.codec import (Codeword, build_tables, covered_triples, decode,
                             encode, inject, iter_patterns, syndrome)
-from kmap_ecc.kcode import from_parities, parities
-from kmap_ecc.placement import ErrorPattern, Placement, PlacementError, guided_search
+from kmap_ecc.kcode import from_parities, parities, weight
+from kmap_ecc.placement import (ErrorPattern, Placement, PlacementError,
+                                guided_search, is_valid)
 
 
 def all_data_values(d):
@@ -159,3 +161,29 @@ def test_codeword_text_forms(refs):
     assert Codeword.from_string(word.hex(), p.d, p.n) == word
     with pytest.raises(ValueError):
         Codeword.from_string("zz", 3, 7)
+
+
+@st.composite
+def valid_placements(draw):
+    """A valid placement at widths 4-12 with 1-4 data bits: drawn heavy
+    codes, each kept when the placement stays valid."""
+    n = draw(st.integers(4, 12))
+    heavy = st.integers(0, (1 << n) - 1).filter(lambda x: weight(x) >= 4)
+    data = []
+    for code in draw(st.lists(heavy, min_size=1, max_size=8)):
+        if len(data) < 4 and is_valid(Placement(n, (*data, code))):
+            data.append(code)
+    return Placement(n, tuple(data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_placements(), st.data(), st.booleans())
+def test_round_trip_corrects_every_le2_pattern(p, data, odd):
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=p.d, max_size=p.d))
+    tables = build_tables(p)
+    word = encode(bits, p, odd_parity=odd)
+    fixed, report = decode(word, tables, odd_parity=odd)
+    assert (fixed, report.status, report.pattern) == (word, "clean", None)
+    for pat in iter_patterns(p, (1, 2)):
+        fixed, report = decode(inject(word, pat), tables, odd_parity=odd)
+        assert (fixed, report.status, report.pattern) == (word, "corrected", pat)
