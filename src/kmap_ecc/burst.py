@@ -163,10 +163,13 @@ def search_orderings(report: CoverageReport, threads: int = 1) -> BurstCensus:
     survivors = _walk(*_allowed_thirds(report))
     grouped: dict[tuple, list] = {}
     for path in survivors:
-        o = Ordering(tuple(symbols[i] for i in path))
-        grouped.setdefault((o.data_positions, o.data_assignment), []).append(o)
+        shape = tuple(pos for pos, i in enumerate(path) if i < p.d)
+        assignment = tuple(path[pos] + 1 for pos in shape)
+        grouped.setdefault((shape, assignment), []).append(path)
     groups = []
-    for (shape, assignment), orderings in sorted(grouped.items()):
-        rep = min(orderings, key=lambda o: o.symbols)
-        groups.append(BurstGroup(shape, assignment, len(orderings), rep))
+    for (shape, assignment), paths in sorted(grouped.items()):
+        # Paths of one group differ only where both hold parity bits, so the
+        # walk's first path is also the least by symbols.
+        rep = Ordering(tuple(symbols[i] for i in paths[0]))
+        groups.append(BurstGroup(shape, assignment, len(paths), rep))
     return BurstCensus(p.to_json(), len(survivors), tuple(groups))

@@ -20,10 +20,10 @@ from . import coverage as coverage_mod
 from . import render as render_mod
 from .codec import Codeword, build_tables, decode, encode
 from .kcode import MAX_WIDTH, MIN_WIDTH, GrayLayout, default_layout, weight
-from .placement import (Placement, PlacementError, SClass, SearchStats,
-                        double_weight_count, guided_search, naive_search,
-                        occupied_map, theorem1_overlap, theorem2_overlap,
-                        is_valid, _collides)
+from .placement import (MAX_GUIDED_D, Placement, PlacementError, SClass,
+                        SearchStats, double_weight_count, guided_search,
+                        naive_search, occupied_map, theorem1_overlap,
+                        theorem2_overlap, is_valid, _collides)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,15 +40,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _width(top: int = MAX_WIDTH, scope: str = ""):
-    """argparse type for ``--n``: a map width in [MIN_WIDTH, top]."""
-    def width(text: str) -> int:
-        n = int(text)
-        if not MIN_WIDTH <= n <= top:
-            raise argparse.ArgumentTypeError(
-                f"must be in [{MIN_WIDTH}, {top}]{scope}, got {n}")
-        return n
-    return width
+def _int_in(low: int, high: int | None = None, scope: str = ""):
+    """argparse type for an integer in [low, high], unbounded above without
+    `high`: map widths, data-bit counts and limits."""
+    def integer(text: str) -> int:
+        k = int(text)
+        if k < low or (high is not None and k > high):
+            span = f"in [{low}, {high}]" if high is not None else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {span}{scope}, got {k}")
+        return k
+    return integer
+
+
+_WIDTH = _int_in(MIN_WIDTH, MAX_WIDTH)
 
 
 def _load_placement(path: str) -> Placement:
@@ -91,6 +95,9 @@ def _cmd_search(args) -> int:
             raise UsageError("--naive and --class are mutually exclusive")
         stream = naive_search(args.n, args.d, stats=stats)
     else:
+        if args.d > MAX_GUIDED_D:
+            raise UsageError(f"guided search places 1 to {MAX_GUIDED_D} data bits "
+                             f"(--naive places any number), got --d {args.d}")
         cls = SClass.parse(args.sclass) if args.sclass else None
         stream = guided_search(args.n, args.d, sclass=cls, stats=stats)
     emitted = 0
@@ -363,9 +370,11 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=choices, default=default)
 
     p = sub.add_parser("search", help="emit valid placements as JSON lines")
-    p.add_argument("--n", type=_width(), default=7)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--limit", type=int, default=0, help="stop after this many (0 = all)")
+    p.add_argument("--n", type=_WIDTH, default=7)
+    p.add_argument("--d", type=_int_in(1), required=True,
+                   help=f"data bits (guided: at most {MAX_GUIDED_D})")
+    p.add_argument("--limit", type=_int_in(0), default=0,
+                   help="stop after this many (0 = all)")
     p.add_argument("--class", dest="sclass", default=None,
                    help="pin the S-class, e.g. S_445^433")
     p.add_argument("--naive", action="store_true", help="use the unguided baseline")
@@ -402,18 +411,18 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("strict", "assignable"), default="strict")
     p.set_defaults(fn=_cmd_coverage_report)
     p = vsub.add_parser("census")
-    p.add_argument("--n", type=_width(), default=7)
+    p.add_argument("--n", type=_WIDTH, default=7)
     p.add_argument("--mode", choices=("strict", "assignable"), default="strict")
     p.add_argument("--full", action="store_true",
                    help="census every reachable class, not just the reference families")
     fmt(p, default="csv")
     p.set_defaults(fn=_cmd_coverage_census)
     p = vsub.add_parser("theorem4")
-    p.add_argument("--n", type=_width(), default=7)
+    p.add_argument("--n", type=_WIDTH, default=7)
     p.set_defaults(fn=_cmd_coverage_theorem4)
     p = vsub.add_parser("minparity")
     p.add_argument("--n", required=True,
-                   type=_width(coverage_mod.MAX_MIN_PARITY_WIDTH, " for minparity"))
+                   type=_int_in(MIN_WIDTH, coverage_mod.MAX_MIN_PARITY_WIDTH, " for minparity"))
     p.add_argument("--no-pruning", action="store_true",
                    help="drop the N_5 weight restriction and walk every code "
                         "(n=10 in well under a second)")
@@ -440,20 +449,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diff", help="compare two grid CSV files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--n", type=_width(), default=7)
+    p.add_argument("--n", type=_WIDTH, default=7)
     p.add_argument("--layout", default=None)
     p.set_defaults(fn=_cmd_diff)
 
     p = sub.add_parser("verify-theorems", help="brute-force the four theorems")
-    p.add_argument("--n", type=_width(), default=7)
+    p.add_argument("--n", type=_WIDTH, default=7)
     p.add_argument("--samples", type=int, default=20000,
                    help="sampled pairs for n > 7 (n=7 is exhaustive)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.set_defaults(fn=_cmd_verify_theorems)
 
     p = sub.add_parser("bench", help="guided vs naive candidate counters")
-    p.add_argument("--n", type=_width(), default=7)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_WIDTH, default=7)
+    p.add_argument("--d", type=_int_in(1, MAX_GUIDED_D), required=True)
     p.add_argument("--k", type=int, default=1, help="placements to find")
     p.set_defaults(fn=_cmd_bench)
 

@@ -163,10 +163,8 @@ def build_tables(p: Placement, include_triples: bool = False) -> CodecTables:
     """Decoding tables for every 1- and 2-bit pattern, optionally extended with
     the covered triples; raises PlacementError (with the collision report) on
     an invalid placement."""
-    require_valid(p)
-    table: dict[int, ErrorPattern] = {}
-    for pat in iter_patterns(p, (1, 2)):
-        table[pat.syndrome(p)] = pat
+    table = require_valid(p)
+    del table[0]
     if include_triples:
         table.update(covered_triples(p))
     return CodecTables(p, table, include_triples)

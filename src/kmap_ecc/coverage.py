@@ -66,11 +66,10 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
     """
     if p.d != 3:
         raise ValueError("three-bit coverage is defined for 3-data-bit placements")
-    require_valid(p)
+    base = require_valid(p)
     if mode == "strict":
         table = covered_triples(p)
     elif mode == "assignable":
-        base = {0} | {pat.syndrome(p) for pat in iter_patterns(p, (1, 2))}
         table = {}
         for pat in iter_patterns(p, (3,)):
             s = pat.syndrome(p)

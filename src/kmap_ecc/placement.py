@@ -22,9 +22,9 @@ __all__ = [
     "ErrorPattern", "Placement", "SClass", "Footprint", "Collision",
     "OccupiedResult", "PlacementError", "SearchStats",
     "occupied_map", "collisions", "is_valid",
-    "parity_footprint", "footprint", "double_weight_count",
+    "parity_footprint", "double_weight_count",
     "theorem1_overlap", "theorem2_overlap", "forbidden_squares",
-    "guided_search", "naive_search", "permute_bits",
+    "guided_search", "MAX_GUIDED_D", "naive_search", "permute_bits",
     "BLESSED_PAIR_SITUATIONS", "X3_DOUBLE_WEIGHT_TABLE",
     "reference_placements", "triple_classes",
 ]
@@ -187,47 +187,48 @@ class Footprint:
 
 
 # ---------------------------------------------------------------------------
-# side-square tables and footprints
+# side squares and footprints
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _sides12(n: int) -> tuple[frozenset[int], ...]:
-    """sides12[x] = all squares at distance 1 or 2 from x."""
+@lru_cache(maxsize=None)
+def _offsets12(n: int) -> tuple[int, ...]:
+    """The n + C(n, 2) offsets of weight 1 or 2: x's side squares are x ^ t."""
     check_width(n)
-    singles = [1 << b for b in range(n)]
-    deltas = singles + [a ^ b for a, b in combinations(singles, 2)]
-    return tuple(frozenset(x ^ t for t in deltas) for x in range(1 << n))
+    units = [1 << b for b in range(n)]
+    return tuple(units + [a ^ b for a, b in combinations(units, 2)])
 
 
 @lru_cache(maxsize=8)
 def parity_footprint(n: int) -> Footprint:
     """Zero square, all P_k and P_kP_m squares, and every P_k side square."""
-    check_width(n)
-    units = [1 << b for b in range(n)]
-    occupied = {0} | set(units) | {a ^ b for a, b in combinations(units, 2)}
-    sides = set()
-    table = _sides12(n)
-    for u in units:
-        sides |= table[u]
+    offsets = _offsets12(n)
+    occupied = {0, *offsets}
+    sides = {u ^ t for u in offsets[:n] for t in offsets}
     return Footprint(frozenset(occupied), frozenset(sides - occupied))
 
 
-def footprint(code: int, n: int) -> Footprint:
-    check_code(code, n)
-    return Footprint(frozenset((code,)), _sides12(n)[code])
+def _flanked(codes: Sequence[int], n: int) -> set[int]:
+    """The parity footprint plus every code in `codes` and its side squares."""
+    offsets = _offsets12(n)
+    out = set(parity_footprint(n).all)
+    for x in codes:
+        out.add(x)
+        out.update(x ^ t for t in offsets)
+    return out
+
+
+def _landings(x: int, taken: set[int], n: int) -> int:
+    """How many side squares of `x` lie in `taken`."""
+    return sum(x ^ t in taken for t in _offsets12(n))
 
 
 def double_weight_count(candidate: int, priors: Sequence[int], n: int) -> int:
     """Distinct squares where `candidate`'s side squares land on anything the
     priors (always including the parity structure) occupy or flank."""
     check_code(candidate, n)
-    taken = set(parity_footprint(n).all)
-    table = _sides12(n)
     for x in priors:
         check_code(x, n)
-        taken.add(x)
-        taken |= table[x]
-    return len(table[candidate] & taken)
+    return _landings(candidate, _flanked(priors, n), n)
 
 
 def theorem1_overlap(a: int, b: int, n: int) -> int:
@@ -243,7 +244,8 @@ def theorem2_overlap(a: int, b: int, n: int) -> int:
         raise ValueError("theorem2_overlap requires weights differing by exactly 1")
     if (a ^ b).bit_count() != 3:
         raise ValueError("theorem2_overlap requires Hamming distance exactly 3")
-    return len(_sides12(n)[a] & _sides12(n)[b])
+    offsets = _offsets12(n)
+    return len({a ^ t for t in offsets} & {b ^ t for t in offsets})
 
 
 def forbidden_squares(x1: int, x2: int, n: int) -> frozenset[int]:
@@ -340,7 +342,8 @@ def _collides(data: Sequence[int], n: int, bound: int = 5) -> bool:
     return False
 
 
-def require_valid(p: Placement) -> Placement:
+def require_valid(p: Placement) -> dict[int, ErrorPattern]:
+    """The :func:`occupied_map` mapping of a valid placement, else PlacementError."""
     result = occupied_map(p)
     if not result.valid:
         labels = ["=".join(q.label for q in c.patterns) for c in result.collisions]
@@ -348,7 +351,7 @@ def require_valid(p: Placement) -> Placement:
             f"placement {p.data} is not a valid <=2-error map: " + ", ".join(labels),
             result.collisions,
         )
-    return p
+    return result.mapping
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +395,10 @@ X3_DOUBLE_WEIGHT_TABLE = {
     SClass((5, 4, 5), (3, 4, 3)): 19,
     SClass((5, 5, 4), (4, 3, 3)): 19,
 }
+
+
+#: The most data bits :func:`guided_search` places (it stops at X_4).
+MAX_GUIDED_D = 4
 
 
 @dataclass
@@ -441,20 +448,19 @@ def triple_classes(n: int) -> tuple[tuple[SClass, int], ...]:
     situation are equivalent under coordinate permutation, and both class
     realizability and the count are permutation-invariant.
     """
-    found: dict[SClass, int] = {}
+    found: dict[tuple, int] = {}
     for w1, w2, dist in BLESSED_PAIR_SITUATIONS:
         pair = next(_pairs_of_situation(n, w1, w2, dist), None)
         if pair is None:
             continue
         x1, x2 = pair
         for x3 in range(1 << n):
-            if x3 in (x1, x2) or weight(x3) < 4 or _collides((x1, x2, x3), n):
-                continue
-            cls = SClass((w1, w2, weight(x3)),
-                         (dist, (x1 ^ x3).bit_count(), (x2 ^ x3).bit_count()))
-            if cls not in found:
-                found[cls] = double_weight_count(x3, (x1, x2), n)
-    return tuple(sorted(found.items(), key=lambda kv: (-kv[1], kv[0].sort_key())))
+            key = ((w1, w2, weight(x3)),
+                   (dist, (x1 ^ x3).bit_count(), (x2 ^ x3).bit_count()))
+            if key not in found and not _collides((x1, x2, x3), n):
+                found[key] = double_weight_count(x3, (x1, x2), n)
+    return tuple((SClass(*key), count)
+                 for key, count in sorted(found.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def guided_search(
@@ -463,19 +469,23 @@ def guided_search(
     sclass: SClass | None = None,
     stats: SearchStats | None = None,
 ) -> Iterator[Placement]:
-    """Priority-ordered placement search.
+    """Priority-ordered placement search for 1 <= d <= MAX_GUIDED_D data bits.
 
-    X_1 and X_2 are drawn from the blessed pair situations, X_3 candidates are
-    visited class-by-class in descending double-weight priority and skip the
-    forbidden squares, X_4 repeats the X_3 procedure against all placed bits.
+    X_1 and X_2 are drawn from the blessed pair situations.  X_3 candidates
+    are visited class by class in descending double-weight priority, and the
+    minimum-distance kernel alone decides them (a square of weight <= 3,
+    within distance 2 of X_1 or X_2, or forbidden fails it).  X_4 skips the
+    trio's flanked set (parity footprint, trio, their side squares) and its
+    pairs' forbidden squares, a pre-filter cheaper than the kernel, then tries
+    the rest by descending count of side squares landing in that set.
     Every emitted placement passes :func:`is_valid`; emission order is
     deterministic.  Passing `sclass` pins the first three data bits to that
     descriptor (blessed or not), which is how census representatives for
     arbitrary classes are found.
     """
     check_width(n)
-    if d < 1 or (n == 7 and d > 4):
-        raise ValueError(f"unsupported data-bit count {d} for n={n}")
+    if not 1 <= d <= MAX_GUIDED_D:
+        raise ValueError(f"guided search places 1 to {MAX_GUIDED_D} data bits, got {d}")
     stats = stats if stats is not None else SearchStats()
 
     if sclass is not None:
@@ -508,8 +518,6 @@ def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Ite
     w1, w2, w3 = (cls.weights + (None, None, None))[:3]
     d12, d13, d23 = (cls.distances + (None, None, None))[:3]
     c1, c2, c3 = (_weight_class(w, n) for w in (w1, w2, w3))
-    table = _sides12(n)
-    parity_all = parity_footprint(n).all
     for x1 in c1:
         stats.candidates_evaluated += 1
         for x2 in c2:
@@ -522,15 +530,10 @@ def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Ite
                 stats.placements_emitted += 1
                 yield Placement(n, (x1, x2))
                 continue
-            blocked = parity_all | {x1, x2} | table[x1] | table[x2]
-            marks = forbidden_squares(x1, x2, n)
             for x3 in c3:
                 stats.candidates_evaluated += 1
-                if (x1 ^ x3).bit_count() != d13 or (x2 ^ x3).bit_count() != d23:
-                    continue
-                if x3 in blocked or x3 in marks:
-                    continue
-                if _collides((x1, x2, x3), n):
+                if ((x1 ^ x3).bit_count() != d13 or (x2 ^ x3).bit_count() != d23
+                        or _collides((x1, x2, x3), n)):
                     continue
                 if d == 3:
                     stats.placements_emitted += 1
@@ -540,19 +543,13 @@ def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Ite
 
 
 def _extend_with_x4(n: int, trio: tuple[int, int, int], stats: SearchStats) -> Iterator[Placement]:
-    table = _sides12(n)
-    blocked = set(parity_footprint(n).all)
-    for x in trio:
-        blocked.add(x)
-        blocked |= table[x]
-    for a, b in combinations(trio, 2):
-        blocked |= forbidden_squares(a, b, n)
+    flanked = _flanked(trio, n)
+    blocked = flanked.union(*(forbidden_squares(a, b, n) for a, b in combinations(trio, 2)))
     candidates = []
     for x4 in _data_candidates(n):
         stats.candidates_evaluated += 1
-        if x4 in blocked:
-            continue
-        candidates.append((-double_weight_count(x4, trio, n), x4))
+        if x4 not in blocked:
+            candidates.append((-_landings(x4, flanked, n), x4))
     for _prio, x4 in sorted(candidates):
         if not _collides(trio + (x4,), n):
             stats.placements_emitted += 1

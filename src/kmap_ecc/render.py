@@ -7,7 +7,7 @@ import io
 from dataclasses import dataclass
 
 from .kcode import GrayLayout, default_layout
-from .placement import ErrorPattern, Placement, occupied_map, require_valid
+from .placement import ErrorPattern, Placement, require_valid
 from .codec import covered_triples
 
 __all__ = ["MapGrid", "CellDiff", "render_map", "diff_grids",
@@ -44,11 +44,10 @@ def render_map(p: Placement, include_triples: bool = False,
     squares forbidden to a further data bit by the placed pair (X_i, X_j)
     with "f" (1-indexed into the placement's data list).
     """
-    require_valid(p)
+    mapping = require_valid(p)
     layout = layout or default_layout(p.n)
     if layout.n != p.n:
         raise ValueError("layout width does not match placement width")
-    mapping = dict(occupied_map(p).mapping)
     if include_triples:
         mapping.update(covered_triples(p))
     cells = {}

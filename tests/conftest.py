@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+import kmap_ecc
 from kmap_ecc import min_parity_search, reference_placements
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -15,6 +17,10 @@ _criterion_results: dict[tuple[int, str], list[bool]] = defaultdict(list)
 
 
 def pytest_configure(config):
+    # CLI subprocesses import the same kmap_ecc as this session, installed or not
+    src = str(Path(kmap_ecc.__file__).resolve().parents[1])
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
     config.addinivalue_line(
         "markers", "criterion(num, name): acceptance criterion this test checks")
     config.addinivalue_line("markers", "slow: runs a full n=10 min-parity sweep")

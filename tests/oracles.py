@@ -98,3 +98,22 @@ def burst_census_json(report):
                         "count": len(members),
                         "representative": ",".join(f"{k}{i}" for k, i in min(members))}
                        for (shape, assignment), members in sorted(groups.items())]}
+
+
+def double_weight_count(candidate, priors, n):
+    """Squares at distance 1 or 2 from `candidate` that the parity structure
+    or a prior occupies or flanks, counted over all 2^n squares.  The parity
+    structure occupies the zero square, every P_k and every P_kP_m, and
+    flanks every square at distance 1 or 2 from a P_k; a prior occupies its
+    own square and flanks those at distance 1 or 2 from it."""
+    def dist(a, b):
+        return bin(a ^ b).count("1")
+    units = [1 << b for b in range(n)]
+    count = 0
+    for s in range(1 << n):
+        if not 1 <= dist(s, candidate) <= 2:
+            continue
+        if (dist(s, 0) <= 2 or any(dist(s, u) <= 2 for u in units)
+                or any(dist(s, x) <= 2 for x in priors)):
+            count += 1
+    return count

@@ -384,9 +384,9 @@ SUBCOMMANDS = (
 
 
 def _run(argv, hashseed, threads, extra=()):
-    env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
-               KMAP_ECC_THREADS=str(threads))
-    proc = subprocess.run([sys.executable, "-m", "kmap_ecc.cli", *argv, *extra],
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
+    proc = subprocess.run([sys.executable, "-m", "kmap_ecc.cli",
+                           "--threads", str(threads), *argv, *extra],
                           capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

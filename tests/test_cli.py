@@ -156,6 +156,30 @@ def test_width_out_of_range_is_usage_error(capsys, argv, n):
     assert "usage error" in err and "[4, 16]" in err
 
 
+@pytest.mark.parametrize("argv", [("search", "--d", "0"), ("search", "--d", "5"),
+                                  ("search", "--n", "8", "--d", "5", "--limit", "2"),
+                                  ("search", "--naive", "--d", "0"),
+                                  ("bench", "--d", "0"), ("bench", "--d", "5"),
+                                  ("search", "--d", "3", "--limit", "-1")],
+                         ids=" ".join)
+def test_data_count_or_limit_out_of_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_naive_search_accepts_any_data_count(capsys):
+    code, out, _ = run_cli(capsys, "search", "--naive", "--n", "4", "--d", "5")
+    assert code == 0 and out == ""
+
+
+def test_search_at_width_16(capsys):
+    code, out, _ = run_cli(capsys, "search", "--n", "16", "--d", "3", "--limit", "1")
+    assert code == 0
+    assert json.loads(out)["data"] == [15, 51, 85]
+
+
 @pytest.mark.parametrize("data", [(15, 51), (15, 51, 85, 102)], ids=["d2", "d4"])
 @pytest.mark.parametrize("argv", [("coverage", "report"), ("burst", "search"),
                                   ("burst", "check", "--ordering", "X1,P1,P2")],
@@ -251,8 +275,9 @@ DETERMINISM_MATRIX = (
 
 
 def _run_subprocess(argv, hashseed, threads):
-    env = dict(os.environ, PYTHONHASHSEED=str(hashseed), KMAP_ECC_THREADS=str(threads))
-    proc = subprocess.run([sys.executable, "-m", "kmap_ecc.cli", *argv],
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
+    proc = subprocess.run([sys.executable, "-m", "kmap_ecc.cli",
+                           "--threads", str(threads), *argv],
                           capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -1,10 +1,17 @@
 """Validity oracle, double-weight accounting, theorems and searches."""
 
+import hashlib
+import json
 import math
 import random
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from kmap_ecc.kcode import from_parities, weight
 from kmap_ecc.placement import (BLESSED_PAIR_SITUATIONS, ErrorPattern,
@@ -82,10 +89,11 @@ def test_reference_placements_valid(refs):
 # --- footprints and double-weight counts ---
 
 def test_parity_footprint_is_low_weight_region():
-    fp = parity_footprint(7)
-    assert fp.all == frozenset(x for x in range(128) if weight(x) <= 3)
-    assert fp.occupied == frozenset(x for x in range(128) if weight(x) <= 2)
-    assert not fp.occupied & fp.sides
+    for n in (4, 7, 12, 16):
+        fp = parity_footprint(n)
+        assert fp.all == frozenset(x for x in range(1 << n) if weight(x) <= 3)
+        assert fp.occupied == frozenset(x for x in range(1 << n) if weight(x) <= 2)
+        assert not fp.occupied & fp.sides
 
 
 def test_single_counts_by_weight_class():
@@ -103,6 +111,16 @@ def test_pair_count_15_for_distance4_n4_pair():
 def test_table1_example_19(refs):
     p = refs["s445_433"]
     assert double_weight_count(p.data[2], p.data[:2], 7) == 19
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 10), st.data())
+def test_double_weight_count_matches_brute_force(n, data):
+    code = st.integers(0, (1 << n) - 1)
+    candidate = data.draw(code)
+    priors = data.draw(st.lists(code, max_size=3))
+    assert (double_weight_count(candidate, priors, n)
+            == oracles.double_weight_count(candidate, priors, n))
 
 
 def test_double_weight_permutation_invariance():
@@ -186,6 +204,64 @@ def test_guided_first_triple_is_a_19_class():
 def test_guided_emits_valid_4_data_placement():
     p = next(guided_search(7, 4))
     assert p.d == 4 and is_valid(p)
+
+
+@pytest.mark.parametrize("n", [7, 8, 16])
+@pytest.mark.parametrize("d", [0, 5])
+def test_guided_refuses_data_counts_it_does_not_place(n, d):
+    with pytest.raises(ValueError, match="1 to 4 data bits"):
+        next(guided_search(n, d))
+
+
+def _stream_pin(stream):
+    """Count and SHA-256 of the data tuples of a placement stream."""
+    h = hashlib.sha256()
+    count = 0
+    for p in stream:
+        h.update(repr(p.data).encode() + b"\n")
+        count += 1
+    return count, h.hexdigest()
+
+
+#: (n, d, limit) -> (placements, candidates evaluated, digest), taken from
+#: the search that filtered X_3 through a 2^n side-square table.
+GUIDED_STREAM_PINS = {
+    (7, 3, None): (45360, 284480,
+                   "1d7f6c6e24d211a0f4da9b9dfb719606aaf40641e2e1bb2ff97dae475acf758f"),
+    (7, 4, 2000): (2000, 17156,
+                   "4f814737b67387fd99bc0fac8be3feb2969b1e31a6e5be9e6ac66daf5825a39a"),
+    (8, 4, 20000): (20000, 41808,
+                    "16f5264d82903e1b60ae0ceb58faf3d795db2af9bdd398c102ba73bb7e911f75"),
+}
+
+
+@pytest.mark.parametrize("key", GUIDED_STREAM_PINS, ids=str)
+def test_guided_stream_pinned(key):
+    n, d, limit = key
+    stats = SearchStats()
+    count, digest = _stream_pin(islice(guided_search(n, d, stats=stats), limit))
+    assert (count, stats.candidates_evaluated, digest) == GUIDED_STREAM_PINS[key]
+    assert stats.placements_emitted == count
+
+
+_FIRST_TRIPLE_PEAK = """
+import json
+import tracemalloc
+from kmap_ecc.placement import guided_search
+tracemalloc.start()
+first = next(guided_search(16, 3))
+print(json.dumps([list(first.data), tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def test_first_triple_at_width_16_in_bounded_memory():
+    """Measured in a fresh interpreter, so no cache another test filled hides
+    what the first hit allocates."""
+    proc = subprocess.run([sys.executable, "-c", _FIRST_TRIPLE_PEAK],
+                          capture_output=True, text=True, timeout=300, check=True)
+    data, peak = json.loads(proc.stdout)
+    assert data == [15, 51, 85]
+    assert peak < 32 * 2**20
 
 
 def test_guided_at_width_4_has_no_weight_5_class():
