@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_in(low: int, high: int | None = None, scope: str = ""):
     """argparse type for an integer in [low, high], unbounded above without
-    `high`: map widths, data-bit counts and limits."""
+    `high`: map widths, data-bit counts, limits and sample counts."""
     def integer(text: str) -> int:
         k = int(text)
         if k < low or (high is not None and k > high):
@@ -253,6 +253,9 @@ def _cmd_render(args) -> int:
             i, j = (int(t) for t in args.forbidden_for.split(","))
         except ValueError as e:
             raise UsageError("--forbidden-for wants two indices like 1,2") from e
+        if not (1 <= i <= p.d and 1 <= j <= p.d and i != j):
+            raise UsageError(f"--forbidden-for wants two distinct data indices in "
+                             f"[1, {p.d}], got {i},{j}")
         forbidden = (i, j)
     grid = render_mod.render_map(p, include_triples=args.triples,
                                  forbidden_for=forbidden,
@@ -274,7 +277,10 @@ def _cmd_diff(args) -> int:
         except OSError as e:
             raise UsageError(f"cannot read grid {path}: {e}") from e
         layout = _parse_layout(args.layout, args.n)
-        return render_mod.grid_from_csv(text, layout)
+        try:
+            return render_mod.grid_from_csv(text, layout)
+        except ValueError as e:
+            raise UsageError(f"bad grid {path}: {e}") from e
     diffs = render_mod.diff_grids(load(args.a), load(args.b))
     for d in diffs:
         print(f"({d.row},{d.col}): {d.a!r} != {d.b!r}")
@@ -329,8 +335,6 @@ def _cmd_verify_theorems(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.k <= 0:
-        return EXIT_OK
     results = []
     for name, search in (("guided", guided_search), ("naive", naive_search)):
         stats = SearchStats()
@@ -455,7 +459,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-theorems", help="brute-force the four theorems")
     p.add_argument("--n", type=_WIDTH, default=7)
-    p.add_argument("--samples", type=int, default=20000,
+    p.add_argument("--samples", type=_int_in(1), default=20000,
                    help="sampled pairs for n > 7 (n=7 is exhaustive)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.set_defaults(fn=_cmd_verify_theorems)
@@ -463,7 +467,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="guided vs naive candidate counters")
     p.add_argument("--n", type=_WIDTH, default=7)
     p.add_argument("--d", type=_int_in(1, MAX_GUIDED_D), required=True)
-    p.add_argument("--k", type=int, default=1, help="placements to find")
+    p.add_argument("--k", type=_int_in(1), default=1, help="placements to find")
     p.set_defaults(fn=_cmd_bench)
 
     return top

@@ -7,10 +7,10 @@ order is a separate concern handled by orderings in the burst module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .placement import ErrorPattern, Placement, require_valid
+from .placement import (ErrorPattern, Placement, require_valid, _index_patterns,
+                        _pattern)
 
 __all__ = [
     "Codeword", "CodecTables", "DecodeReport",
@@ -99,13 +99,8 @@ def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
 
 def iter_patterns(p: Placement, sizes: Sequence[int] = (1, 2)) -> Iterator[ErrorPattern]:
     """All error patterns of the given sizes, in deterministic order."""
-    members = ([ErrorPattern.of(data=(i,)) for i in range(1, p.d + 1)]
-               + [ErrorPattern.of(parities=(k,)) for k in range(1, p.n + 1)])
-    for size in sizes:
-        for combo in combinations(members, size):
-            data = frozenset().union(*(m.data for m in combo))
-            ps = frozenset().union(*(m.parities for m in combo))
-            yield ErrorPattern(data, ps)
+    for idx, _s in _index_patterns(p, sizes):
+        yield _pattern(idx, p.d)
 
 
 def covered_triples(p: Placement) -> dict[int, ErrorPattern]:
@@ -124,22 +119,20 @@ def covered_triples(p: Placement) -> dict[int, ErrorPattern]:
     tie-break rule; the only others are the winners of squares that
     X_1X_2X_3 loses.
     """
-    base = {0}
-    for pat in iter_patterns(p, (1, 2)):
-        base.add(pat.syndrome(p))
-    hits: dict[int, list[ErrorPattern]] = {}
-    for pat in iter_patterns(p, (3,)):
-        s = pat.syndrome(p)
-        if s in base:
-            continue
-        hits.setdefault(s, []).append(pat)
+    base = {s for _idx, s in _index_patterns(p, (0, 1, 2))}
+    claims: dict[int, list[tuple[int, ...]]] = {}
+    for idx, s in _index_patterns(p, (3,)):
+        if s not in base:
+            claims.setdefault(s, []).append(idx)
+    d = p.d
     out: dict[int, ErrorPattern] = {}
-    for s, pats in hits.items():
-        strong = [q for q in pats if len(q.data) < 3]
+    for s, triples in claims.items():
+        # indices ascend, so a triple is all-data iff its last index is < d
+        strong = [idx for idx in triples if idx[2] >= d]
         if len(strong) == 1:
-            out[s] = strong[0]
-        elif not strong and len(pats) == 1:
-            out[s] = pats[0]
+            out[s] = _pattern(strong[0], d)
+        elif not strong and len(triples) == 1:
+            out[s] = _pattern(triples[0], d)
     return out
 
 

@@ -11,8 +11,8 @@ from typing import Mapping
 
 from .kcode import check_width, weight
 from .placement import (ErrorPattern, Placement, SClass, guided_search,
-                        require_valid, _collides)
-from .codec import covered_triples, iter_patterns
+                        require_valid, _collides, _index_patterns, _pattern)
+from .codec import covered_triples
 
 __all__ = [
     "CoverageReport", "three_bit_coverage", "CLASS_KEYS",
@@ -71,10 +71,9 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
         table = covered_triples(p)
     elif mode == "assignable":
         table = {}
-        for pat in iter_patterns(p, (3,)):
-            s = pat.syndrome(p)
+        for idx, s in _index_patterns(p, (3,)):
             if s not in base and s not in table:
-                table[s] = pat
+                table[s] = _pattern(idx, p.d)
     else:
         raise ValueError(f"unknown coverage mode {mode!r}")
     covered = tuple(sorted(((pat, s) for s, pat in table.items()),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -52,7 +52,10 @@ class ErrorPattern:
     def size(self) -> int:
         return len(self.data) + len(self.parities)
 
-    @property
+    # the pattern walks hand out one interned instance per index tuple, so
+    # the label and sort key are worth computing once
+
+    @cached_property
     def label(self) -> str:
         """Canonical name, data members first: "X_1X_3", "X_2P_7", "P_1P_3P_6"."""
         if self.size == 0:
@@ -76,6 +79,10 @@ class ErrorPattern:
         return cls(data, ps)
 
     def sort_key(self):
+        return self._key
+
+    @cached_property
+    def _key(self):
         return (tuple(sorted(self.data)), tuple(sorted(self.parities)))
 
     def syndrome(self, placement: "Placement") -> int:
@@ -278,13 +285,30 @@ class OccupiedResult:
         return not self.collisions
 
 
-def _pattern_codes(p: Placement) -> list[tuple[ErrorPattern, int]]:
-    singles = ([(ErrorPattern.of(data=(i + 1,)), p.data[i]) for i in range(p.d)]
-               + [(ErrorPattern.of(parities=(k,)), parity_code(k)) for k in range(1, p.n + 1)])
-    out = [(ErrorPattern(), 0)] + singles
-    for (pa, ca), (pb, cb) in combinations(singles, 2):
-        out.append((ErrorPattern(pa.data | pb.data, pa.parities | pb.parities), ca ^ cb))
-    return out
+@lru_cache(maxsize=4096)
+def _pattern(idx: tuple[int, ...], d: int) -> ErrorPattern:
+    """The error pattern flipping code bits `idx`, interned per index tuple.
+
+    Code bits are numbered 0..d+n-1: X_1..X_d, then P_1..P_n.
+    """
+    return ErrorPattern(frozenset(i + 1 for i in idx if i < d),
+                        frozenset(i - d + 1 for i in idx if i >= d))
+
+
+def _index_patterns(p: Placement, sizes: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(code-bit index tuple, syndrome) of every error pattern of each size in
+    `sizes`, by size and then in combinations order over X_1..X_d, P_1..P_n.
+
+    A pattern's syndrome is the XOR of its members' column codes: X_i's
+    K-code, or the unit code of P_k.
+    """
+    cols = p.data + tuple(1 << k for k in range(p.n))
+    for size in sizes:
+        for idx in combinations(range(len(cols)), size):
+            s = 0
+            for i in idx:
+                s ^= cols[i]
+            yield idx, s
 
 
 def occupied_map(p: Placement) -> OccupiedResult:
@@ -294,17 +318,19 @@ def occupied_map(p: Placement) -> OccupiedResult:
     distinct, otherwise the colliding groups; a collision is an inspection
     result, not an exception.
     """
-    by_syndrome: dict[int, list[ErrorPattern]] = {}
-    for pat, code in _pattern_codes(p):
-        by_syndrome.setdefault(code, []).append(pat)
+    by_syndrome: dict[int, list[tuple[int, ...]]] = {}
+    for idx, code in _index_patterns(p, (0, 1, 2)):
+        by_syndrome.setdefault(code, []).append(idx)
     clashes = tuple(
-        Collision(code, tuple(sorted(pats, key=ErrorPattern.sort_key)))
-        for code, pats in sorted(by_syndrome.items())
-        if len(pats) > 1
+        Collision(code, tuple(sorted((_pattern(idx, p.d) for idx in claims),
+                                     key=ErrorPattern.sort_key)))
+        for code, claims in sorted(by_syndrome.items())
+        if len(claims) > 1
     )
     if clashes:
         return OccupiedResult(p, None, clashes)
-    return OccupiedResult(p, {code: pats[0] for code, pats in by_syndrome.items()}, ())
+    return OccupiedResult(p, {code: _pattern(claims[0], p.d)
+                              for code, claims in by_syndrome.items()}, ())
 
 
 def collisions(p: Placement) -> tuple[Collision, ...]:

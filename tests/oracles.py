@@ -1,6 +1,8 @@
 """Brute-force syndrome oracles: the pattern enumerators the distance
-kernel replaced, kept as the reference the kernel is checked against, and
-the pattern-level burst-ordering search the bitset walk replaced.
+kernel replaced, kept as the reference the kernel is checked against, the
+pattern-level burst-ordering search the bitset walk replaced, and the
+frozenset pattern enumerator and triple-coverage rules the code-bit index
+walk replaced.
 
 Each one lists error patterns and their syndromes outright, so it shares
 no reasoning with :func:`kmap_ecc.placement._collides` beyond the codes of
@@ -47,6 +49,49 @@ def first_collision_kind(data, n):
                 return (kind(idx), seen[s])
             seen[s] = kind(idx)
     return None
+
+
+def iter_patterns(p, sizes=(1, 2)):
+    """Every error pattern of the given sizes as a union of one-member
+    ErrorPatterns, by size and then in combinations order over X_1..X_d,
+    P_1..P_n."""
+    members = ([ErrorPattern.of(data=(i,)) for i in range(1, p.d + 1)]
+               + [ErrorPattern.of(parities=(k,)) for k in range(1, p.n + 1)])
+    for size in sizes:
+        for combo in combinations(members, size):
+            data = frozenset().union(*(m.data for m in combo))
+            ps = frozenset().union(*(m.parities for m in combo))
+            yield ErrorPattern(data, ps)
+
+
+def covered_triples(p):
+    """Strict triple coverage by listing every pattern: a free square goes to
+    its sole claimant, or to its sole claimant that is not all-data."""
+    base = {0} | {pat.syndrome(p) for pat in iter_patterns(p, (1, 2))}
+    hits = {}
+    for pat in iter_patterns(p, (3,)):
+        s = pat.syndrome(p)
+        if s not in base:
+            hits.setdefault(s, []).append(pat)
+    out = {}
+    for s, pats in hits.items():
+        strong = [q for q in pats if len(q.data) < 3]
+        if len(strong) == 1:
+            out[s] = strong[0]
+        elif not strong and len(pats) == 1:
+            out[s] = pats[0]
+    return out
+
+
+def assignable_triples(p):
+    """Every free square hit by a triple, credited to its first claimant."""
+    base = {0} | {pat.syndrome(p) for pat in iter_patterns(p, (1, 2))}
+    table = {}
+    for pat in iter_patterns(p, (3,)):
+        s = pat.syndrome(p)
+        if s not in base and s not in table:
+            table[s] = pat
+    return table
 
 
 def le2_syndromes(data, n):

@@ -160,7 +160,10 @@ def test_width_out_of_range_is_usage_error(capsys, argv, n):
                                   ("search", "--n", "8", "--d", "5", "--limit", "2"),
                                   ("search", "--naive", "--d", "0"),
                                   ("bench", "--d", "0"), ("bench", "--d", "5"),
-                                  ("search", "--d", "3", "--limit", "-1")],
+                                  ("search", "--d", "3", "--limit", "-1"),
+                                  ("bench", "--d", "3", "--k", "-1"),
+                                  ("verify-theorems", "--n", "8", "--samples", "0"),
+                                  ("verify-theorems", "--samples", "-5")],
                          ids=" ".join)
 def test_data_count_or_limit_out_of_range_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -215,6 +218,35 @@ def test_render_formats(capsys, placement_files):
     assert code == 0 and out.splitlines()[0] == "row,col,label"
 
 
+@pytest.mark.parametrize("pair", ["1,1", "1,9", "0,2", "3,4"])
+def test_render_forbidden_for_bad_indices_is_usage_error(capsys, placement_files, pair):
+    code, out, err = run_cli(capsys, "render", "--placement", placement_files["s445_433"],
+                             "--forbidden-for", pair)
+    assert code == 1
+    assert out == ""
+    assert "usage error: --forbidden-for wants two distinct data indices in [1, 3]" in err
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("not a grid\n", "must start with header"),
+    ("row,col,label\n0000000,000,X_1\n", "does not fit the layout"),
+    ("row,col,label\n000,0000\n", "not enough values"),
+    ("row,col,label\n0201,000,X_1\n", "invalid literal"),
+], ids=["header", "outside", "short-row", "not-binary"])
+def test_diff_bad_grid_is_usage_error(capsys, placement_files, tmp_path, text, reason):
+    code, out, _ = run_cli(capsys, "render", "--format", "csv",
+                           "--placement", placement_files["s445_433"])
+    good = tmp_path / "good.csv"
+    good.write_text(out)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    for a, b in ((bad, good), (good, bad)):
+        code, out, err = run_cli(capsys, "diff", "--a", str(a), "--b", str(b))
+        assert code == 1
+        assert out == ""
+        assert f"usage error: bad grid {bad}" in err and reason in err
+
+
 def test_diff_identical_and_different(capsys, placement_files, tmp_path):
     code, out, _ = run_cli(capsys, "render", "--format", "csv",
                            "--placement", placement_files["s445_433"])
@@ -258,8 +290,9 @@ def test_bench_counters(capsys):
 
 
 def test_bench_k0_is_empty(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--d", "3", "--k", "0")
-    assert code == 0 and out == ""
+    code, out, err = run_cli(capsys, "bench", "--d", "3", "--k", "0")
+    assert code == 1 and out == ""
+    assert "usage error" in err and "at least 1" in err
 
 
 # --- determinism across processes, hash seeds and thread counts ---

@@ -1,0 +1,79 @@
+"""The code-bit index pattern walk against the frozenset pattern oracles.
+
+`iter_patterns`, `occupied_map`, `covered_triples` and the assignable
+coverage mode all read patterns as tuples of code-bit indices (X_1..X_d,
+then P_1..P_n) and XOR column codes; `oracles` builds every pattern as a
+union of one-member ErrorPatterns and asks each one for its syndrome.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from kmap_ecc.codec import covered_triples, iter_patterns
+from kmap_ecc.coverage import census, three_bit_coverage
+from kmap_ecc.placement import (ErrorPattern, Placement, occupied_map,
+                                reference_placements)
+
+SIZE_SETS = [s for r in range(4) for s in combinations((1, 2, 3), r)]
+
+
+def _survey_placements():
+    """Every census(7|8, full=True) class, the n=10 covering witness and the
+    reference placements."""
+    out = [r.placement for n in (7, 8) for r in census(n, full=True)]
+    assert len(out) == 104
+    return out + [Placement(10, (63, 455, 729))] + list(reference_placements().values())
+
+
+def _oracle_occupied(p):
+    by_syndrome = {}
+    for pat in oracles.iter_patterns(p, (0, 1, 2)):
+        by_syndrome.setdefault(pat.syndrome(p), []).append(pat)
+    clashes = [(s, sorted(pats, key=ErrorPattern.sort_key))
+               for s, pats in sorted(by_syndrome.items()) if len(pats) > 1]
+    mapping = None if clashes else [(s, pats[0]) for s, pats in by_syndrome.items()]
+    return mapping, clashes
+
+
+def _assert_walk_matches_oracle(p):
+    assert list(covered_triples(p).items()) == list(oracles.covered_triples(p).items())
+    result = occupied_map(p)
+    mapping, clashes = _oracle_occupied(p)
+    assert [(c.syndrome, list(c.patterns)) for c in result.collisions] == clashes
+    assert (None if result.mapping is None else list(result.mapping.items())) == mapping
+    if p.d == 3 and result.valid:
+        want = sorted(((pat, s) for s, pat in oracles.assignable_triples(p).items()),
+                      key=lambda kv: kv[0].sort_key())
+        assert list(three_bit_coverage(p, "assignable").covered) == want
+
+
+def test_survey_placements_match_oracle_in_insertion_order():
+    for p in _survey_placements():
+        _assert_walk_matches_oracle(p)
+
+
+def test_iter_patterns_matches_oracle_for_every_size_set():
+    invalid = [Placement(7, (0b1111, 0b1111)), Placement(7, (3,)), Placement(4, ())]
+    for p in [Placement(10, (63, 455, 729)), *reference_placements().values(), *invalid]:
+        assert list(iter_patterns(p)) == list(oracles.iter_patterns(p))
+        for sizes in SIZE_SETS + [(3, 1), (0, 2)]:
+            assert list(iter_patterns(p, sizes)) == list(oracles.iter_patterns(p, sizes)), sizes
+
+
+@st.composite
+def placements(draw):
+    # any codes, zero and repeats included: covered_triples and occupied_map
+    # must not assume a valid placement
+    n = draw(st.integers(4, 12))
+    data = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=5))
+    return Placement(n, tuple(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+def test_walk_matches_oracle_at_any_width(p):
+    _assert_walk_matches_oracle(p)
+    assert list(iter_patterns(p, (1, 2, 3))) == list(oracles.iter_patterns(p, (1, 2, 3)))
+
