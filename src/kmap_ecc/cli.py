@@ -257,9 +257,11 @@ def _cmd_render(args) -> int:
             raise UsageError(f"--forbidden-for wants two distinct data indices in "
                              f"[1, {p.d}], got {i},{j}")
         forbidden = (i, j)
+    layout = _parse_layout(args.layout, p.n)
+    if layout.n != p.n:
+        raise UsageError(f"--layout has width {layout.n} but the placement has width {p.n}")
     grid = render_mod.render_map(p, include_triples=args.triples,
-                                 forbidden_for=forbidden,
-                                 layout=_parse_layout(args.layout, p.n))
+                                 forbidden_for=forbidden, layout=layout)
     if args.format == "text":
         sys.stdout.write(render_mod.grid_to_text(grid))
     elif args.format == "csv":

@@ -6,7 +6,7 @@ order is a separate concern handled by orderings in the burst module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .placement import (ErrorPattern, Placement, require_valid, _index_patterns,
@@ -19,15 +19,23 @@ __all__ = [
 ]
 
 
+_BITS = frozenset((0, 1))
+
+
 @dataclass(frozen=True)
 class Codeword:
     data: tuple[int, ...]
     parity: tuple[int, ...]
 
     def __post_init__(self):
-        for b in self.data + self.parity:
-            if b not in (0, 1):
-                raise ValueError("codeword bits must be 0 or 1")
+        bits = self.data + self.parity
+        try:
+            ok = _BITS.issuperset(bits)
+        except TypeError:
+            iter(bits)  # a field that is no sequence keeps its TypeError
+            ok = False  # an unhashable member is no bit
+        if not ok:
+            raise ValueError("codeword bits must be 0 or 1")
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -74,26 +82,31 @@ def encode(data_bits: Sequence[int], p: Placement, odd_parity: bool = False) -> 
     if len(data_bits) != p.d:
         raise ValueError(f"expected {p.d} data bits, got {len(data_bits)}")
     mask = _parity_mask(data_bits, p, odd_parity)
-    return Codeword(tuple(int(b) for b in data_bits),
-                    tuple(mask >> k & 1 for k in range(p.n)))
+    return Codeword(tuple(map(int, data_bits)),
+                    tuple([mask >> k & 1 for k in range(p.n)]))
 
 
 def syndrome(word: Codeword, p: Placement, odd_parity: bool = False) -> int:
     """Received parity XOR recomputed parity; zero iff all checks pass."""
     if len(word.data) != p.d or len(word.parity) != p.n:
         raise ValueError("codeword shape does not match placement")
-    received = sum(b << k for k, b in enumerate(word.parity))
-    return received ^ _parity_mask(word.data, p, odd_parity)
+    s = _parity_mask(word.data, p, odd_parity)
+    for k, b in enumerate(word.parity):
+        s ^= b << k
+    return s
 
 
 def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
-    """Flip the pattern's members."""
-    data = list(word.data)
-    parity = list(word.parity)
-    for i in pattern.data:
-        data[i - 1] ^= 1
-    for k in pattern.parities:
-        parity[k - 1] ^= 1
+    """Flip the pattern's members; a part with no member is not copied."""
+    data, parity = word.data, word.parity
+    if pattern.data:
+        data = list(data)
+        for i in pattern.data:
+            data[i - 1] ^= 1
+    if pattern.parities:
+        parity = list(parity)
+        for k in pattern.parities:
+            parity[k - 1] ^= 1
     return Codeword(tuple(data), tuple(parity))
 
 
@@ -138,11 +151,17 @@ def covered_triples(p: Placement) -> dict[int, ErrorPattern]:
 
 @dataclass(frozen=True)
 class CodecTables:
-    """Immutable decoding tables: nonzero syndrome -> correctable pattern."""
+    """Immutable decoding tables: nonzero syndrome -> correctable pattern.
+
+    ``_reports`` memoizes the "corrected" :class:`DecodeReport` of each
+    square on its first decode; it is not part of the value.
+    """
 
     placement: Placement
     decode: Mapping[int, ErrorPattern]
     include_triples: bool
+    _reports: dict[int, "DecodeReport"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_entries(self) -> int:
@@ -170,14 +189,20 @@ class DecodeReport:
     pattern: ErrorPattern | None
 
 
+_CLEAN = DecodeReport("clean", 0, None)
+
+
 def decode(word: Codeword, tables: CodecTables,
            odd_parity: bool = False) -> tuple[Codeword, DecodeReport]:
     """Correct the received word if its syndrome is assigned; an unassigned
     nonzero syndrome reports detected-uncorrectable and leaves the word as is."""
     s = syndrome(word, tables.placement, odd_parity)
     if s == 0:
-        return word, DecodeReport("clean", 0, None)
+        return word, _CLEAN
     pat = tables.decode.get(s)
     if pat is None:
         return word, DecodeReport("uncorrectable", s, None)
-    return inject(word, pat), DecodeReport("corrected", s, pat)
+    report = tables._reports.get(s)
+    if report is None:
+        report = tables._reports[s] = DecodeReport("corrected", s, pat)
+    return inject(word, pat), report

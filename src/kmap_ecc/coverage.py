@@ -66,10 +66,12 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
     """
     if p.d != 3:
         raise ValueError("three-bit coverage is defined for 3-data-bit placements")
-    base = require_valid(p)
+    if _collides(p.data, p.n):
+        require_valid(p)  # raises PlacementError with the collision report
     if mode == "strict":
         table = covered_triples(p)
     elif mode == "assignable":
+        base = {s for _idx, s in _index_patterns(p, (0, 1, 2))}
         table = {}
         for idx, s in _index_patterns(p, (3,)):
             if s not in base and s not in table:

@@ -2,7 +2,7 @@
 kernel replaced, kept as the reference the kernel is checked against, the
 pattern-level burst-ordering search the bitset walk replaced, and the
 frozenset pattern enumerator and triple-coverage rules the code-bit index
-walk replaced.
+walk replaced, and a table decoder over received words as bit tuples.
 
 Each one lists error patterns and their syndromes outright, so it shares
 no reasoning with :func:`kmap_ecc.placement._collides` beyond the codes of
@@ -92,6 +92,36 @@ def assignable_triples(p):
         if s not in base and s not in table:
             table[s] = pat
     return table
+
+
+def decode_table(p, include_triples):
+    """Syndrome -> pattern for every 1- and 2-bit pattern, plus the strictly
+    covered triples when asked."""
+    table = {pat.syndrome(p): pat for pat in iter_patterns(p, (1, 2))}
+    if include_triples:
+        table.update(covered_triples(p))
+    return table
+
+
+def decode(bits, p, table, odd_parity):
+    """(status, syndrome, pattern, fixed bits) of the received word `bits`
+    over X_1..X_d, P_1..P_n.  The syndrome is the XOR of the column codes of
+    its set bits (X_i's code, the unit code of P_k), complemented under odd
+    parity; an assigned syndrome flips its pattern's bits."""
+    cols = list(p.data) + [1 << k for k in range(p.n)]
+    s = 0
+    for b, c in zip(bits, cols):
+        if b:
+            s ^= c
+    if odd_parity:
+        s ^= (1 << p.n) - 1
+    if s == 0:
+        return "clean", 0, None, bits
+    pat = table.get(s)
+    if pat is None:
+        return "uncorrectable", s, None, bits
+    flips = {i - 1 for i in pat.data} | {p.d + k - 1 for k in pat.parities}
+    return "corrected", s, pat, tuple(b ^ (i in flips) for i, b in enumerate(bits))
 
 
 def le2_syndromes(data, n):

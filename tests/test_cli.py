@@ -227,6 +227,19 @@ def test_render_forbidden_for_bad_indices_is_usage_error(capsys, placement_files
     assert "usage error: --forbidden-for wants two distinct data indices in [1, 3]" in err
 
 
+def test_render_layout_width_mismatch_is_usage_error(capsys, placement_files):
+    wide = json.dumps({"n": 8, "row_vars": [8, 7, 5, 3], "col_vars": [6, 4, 2, 1]})
+    code, out, err = run_cli(capsys, "render", "--placement", placement_files["s447_433"],
+                             "--layout", wide)
+    assert code == 1
+    assert out == ""
+    assert "usage error: --layout has width 8 but the placement has width 7" in err
+    same = json.dumps({"n": 7, "row_vars": [7, 5, 3, 1], "col_vars": [6, 4, 2]})
+    code, out, _ = run_cli(capsys, "render", "--placement", placement_files["s447_433"],
+                           "--layout", same)
+    assert code == 0 and out.startswith("rows s7 s5 s3 s1")
+
+
 @pytest.mark.parametrize("text,reason", [
     ("not a grid\n", "must start with header"),
     ("row,col,label\n0000000,000,X_1\n", "does not fit the layout"),

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from kmap_ecc.codec import (Codeword, build_tables, covered_triples, decode,
                             encode, inject, iter_patterns, syndrome)
 from kmap_ecc.kcode import from_parities, parities, weight
@@ -187,3 +188,52 @@ def test_round_trip_corrects_every_le2_pattern(p, data, odd):
     for pat in iter_patterns(p, (1, 2)):
         fixed, report = decode(inject(word, pat), tables, odd_parity=odd)
         assert (fixed, report.status, report.pattern) == (word, "corrected", pat)
+
+
+ORACLE_CODES = {
+    "s447_433": lambda refs: (refs["s447_433"], False),
+    "s447_433+triples": lambda refs: (refs["s447_433"], True),
+    "guided_7_4": lambda refs: (next(guided_search(7, 4)), False),
+    "witness_10+triples": lambda refs: (Placement(10, (63, 455, 729)), True),
+}
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+@pytest.mark.parametrize("name", ORACLE_CODES)
+def test_decode_matches_brute_force_oracle(refs, name, odd):
+    """Every received word of d+n bits decodes as the brute-force table
+    decoder says: status, syndrome, pattern and fixed word."""
+    p, triples = ORACLE_CODES[name](refs)
+    tables = build_tables(p, include_triples=triples)
+    table = oracles.decode_table(p, triples)
+    for bits in product((0, 1), repeat=p.d + p.n):
+        fixed, report = decode(Codeword.from_bits(bits, p.d), tables, odd_parity=odd)
+        assert ((report.status, report.syndrome, report.pattern, fixed.bits)
+                == oracles.decode(bits, p, table, odd))
+
+
+@pytest.mark.parametrize("bad", [2, -1, "1", None, 0.5, [0]], ids=repr)
+def test_codeword_rejects_non_bits(bad):
+    with pytest.raises(ValueError):
+        Codeword((0, bad, 1), (1, 0))
+    with pytest.raises(ValueError):
+        Codeword((0, 1), (1, bad))
+
+
+def test_repeated_decodes_return_equal_reports(refs):
+    p = refs["s447_433"]
+    tables = build_tables(p, include_triples=True)
+    clean = encode([1, 0, 1], p)
+    words = [clean] + [inject(clean, pat) for pat in iter_patterns(p, (1, 2, 3))]
+    first = [decode(w, tables) for w in words]
+    assert [decode(w, tables) for w in words] == first
+    assert {report.status for _, report in first} == {"clean", "corrected", "uncorrectable"}
+
+
+def test_tables_equality_and_repr_ignore_report_memo(refs):
+    p = refs["s447_433"]
+    used, fresh = build_tables(p, include_triples=True), build_tables(p, include_triples=True)
+    decode(inject(encode([0, 1, 1], p), ErrorPattern.of(data=(1,))), used)
+    assert used._reports and not fresh._reports
+    assert used == fresh
+    assert repr(used) == repr(fresh)
