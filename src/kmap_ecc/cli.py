@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -23,12 +24,17 @@ from .kcode import MAX_WIDTH, MIN_WIDTH, GrayLayout, default_layout, weight
 from .placement import (MAX_GUIDED_D, Placement, PlacementError, SClass,
                         SearchStats, double_weight_count, guided_search,
                         naive_search, occupied_map, theorem1_overlap,
-                        theorem2_overlap, is_valid, _collides)
+                        theorem2_overlap, is_valid, _collides,
+                        _data_candidates)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
+
+#: The most candidate tuples ``search --naive`` walks: n=7 with d <= 4
+#: (C(64, 4) = 635,376) fits, n=7 with d=5 (C(64, 5) = 7,624,512) does not.
+NAIVE_TUPLE_BUDGET = 1_000_000
 
 
 class UsageError(Exception):
@@ -93,6 +99,12 @@ def _cmd_search(args) -> int:
     if args.naive:
         if args.sclass:
             raise UsageError("--naive and --class are mutually exclusive")
+        # the walk visits every tuple when it finds nothing, whatever --limit
+        tuples = math.comb(len(_data_candidates(args.n)), args.d)
+        if tuples > NAIVE_TUPLE_BUDGET:
+            raise UsageError(f"naive search at --n {args.n} --d {args.d} would walk "
+                             f"{tuples:,} candidate tuples, over its budget of "
+                             f"{NAIVE_TUPLE_BUDGET:,}")
         stream = naive_search(args.n, args.d, stats=stats)
     else:
         if args.d > MAX_GUIDED_D:

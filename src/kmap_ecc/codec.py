@@ -81,9 +81,9 @@ def encode(data_bits: Sequence[int], p: Placement, odd_parity: bool = False) -> 
     """Even parity: P_k is the XOR of the data bits whose code sets bit k."""
     if len(data_bits) != p.d:
         raise ValueError(f"expected {p.d} data bits, got {len(data_bits)}")
-    mask = _parity_mask(data_bits, p, odd_parity)
-    return Codeword(tuple(map(int, data_bits)),
-                    tuple([mask >> k & 1 for k in range(p.n)]))
+    data = tuple(map(int, data_bits))
+    mask = _parity_mask(data, p, odd_parity)
+    return Codeword(data, tuple([mask >> k & 1 for k in range(p.n)]))
 
 
 def syndrome(word: Codeword, p: Placement, odd_parity: bool = False) -> int:

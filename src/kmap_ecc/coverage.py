@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
@@ -190,9 +191,29 @@ def theorem4_check(n: int = 7) -> Theorem4Report:
 # minimum-parity feasibility
 # ---------------------------------------------------------------------------
 
-def _kind(idx, d: int) -> str:
-    nx = sum(1 for i in idx if i < d)
-    return "X" * nx + "P" * (len(idx) - nx) if idx else "zero"
+def _kind(xs: int, size: int) -> str:
+    """Kind of a pattern of `size` members, `xs` of them data bits."""
+    return "X" * xs + "P" * (size - xs) if size else "zero"
+
+
+@lru_cache(maxsize=1 << 12)
+def _parity_members(s: int, d: int) -> tuple[int, ...]:
+    """Code-bit indices d + k of the parity bits P_{k+1} set in syndrome `s`."""
+    return tuple(d + k for k in range(s.bit_length()) if s >> k & 1)
+
+
+@lru_cache(maxsize=16)
+def _subset_walk(d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The nonempty subsets of at most six of d data bits, each adding one
+    index i to an earlier subset: (position of that subset, with 0 the
+    empty one, i, the subset's index tuple)."""
+    walk = []
+    subsets = [()]
+    for i in range(d):
+        grown = [(pos, idx + (i,)) for pos, idx in enumerate(subsets) if len(idx) < 6]
+        walk += [(pos, i, idx) for pos, idx in grown]
+        subsets += [idx for _pos, idx in grown]
+    return tuple(walk)
 
 
 def _first_collision_kind(data, n: int) -> tuple[str, str] | None:
@@ -206,26 +227,28 @@ def _first_collision_kind(data, n: int) -> tuple[str, str] | None:
     walk of :func:`kmap_ecc.placement._collides` at bound 7).  The earliest
     collision splits one such codeword as evenly as possible: the later
     pattern is the first ceil(w/2) members of the codeword (after its least
-    member when w is even) and the earlier pattern is the rest.
+    member when w is even) and the earlier pattern is the rest.  The
+    codeword lists D's indices before its parities, so each pattern's kind
+    follows from how many of D's indices it takes.
     """
     d = len(data)
-    sums = [((), 0)]
+    sums = [0]
     best = None
-    for i, x in enumerate(data):
-        grown = [(idx + (i,), s ^ x) for idx, s in sums if len(idx) < 6]
-        sums += grown
-        for idx, s in grown:
-            w = len(idx) + s.bit_count()
-            if w <= 6:
-                h, skip = (w + 1) // 2, 1 - w % 2
-                word = idx + tuple(d + k for k in range(n) if s >> k & 1)
-                key = (h, word[skip:skip + h])
-                if best is None or key < best[0]:
-                    best = (key, word)
+    for pos, i, idx in _subset_walk(d):
+        s = sums[pos] ^ data[i]
+        sums.append(s)
+        w = len(idx) + s.bit_count()
+        if w <= 6:
+            h, skip = (w + 1) // 2, 1 - w % 2
+            key = (h, (idx + _parity_members(s, d))[skip:skip + h])
+            if best is None or key < best[0]:
+                best = (key, len(idx), w)
     if best is None:
         return None
-    (_, later), word = best
-    return _kind(later, d), _kind(tuple(c for c in word if c not in later), d)
+    (h, _), xs, w = best
+    skip = 1 - w % 2
+    later_xs = max(0, min(xs, skip + h) - skip)
+    return _kind(later_xs, h), _kind(xs - later_xs, w - h)
 
 
 @dataclass(frozen=True)

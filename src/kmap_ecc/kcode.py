@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 MIN_WIDTH = 4
@@ -177,27 +177,33 @@ class GrayLayout:
     def col_count(self) -> int:
         return 1 << len(self.col_vars)
 
-    def _axis_value(self, code: int, axis: tuple[int, ...]) -> int:
-        v = 0
-        for var in axis:
-            v = (v << 1) | (code >> (var - 1) & 1)
-        return v
+    @staticmethod
+    def _axis_code(index: int, axis: tuple[int, ...]) -> int:
+        """The bits over `axis` of the Gray codeword at position `index`."""
+        code = 0
+        for v, var in zip(GrayLayout._bits(gray(index), len(axis)), axis):
+            code |= v << (var - 1)
+        return code
+
+    @cached_property
+    def _grid_index(self) -> tuple[int, dict[int, int], int, dict[int, int]]:
+        """Per axis, its bit mask and a table from a code's bits under that
+        mask to the row (column) index: 2^|axis| entries each."""
+        def table(axis):
+            return {self._axis_code(i, axis): i for i in range(1 << len(axis))}
+        return (from_parities(self.row_vars), table(self.row_vars),
+                from_parities(self.col_vars), table(self.col_vars))
 
     def to_grid(self, code: int) -> tuple[int, int]:
         """Map a K-code to its (row index, column index)."""
         check_code(code, self.n)
-        return (gray_index(self._axis_value(code, self.row_vars)),
-                gray_index(self._axis_value(code, self.col_vars)))
+        row_mask, rows, col_mask, cols = self._grid_index
+        return rows[code & row_mask], cols[code & col_mask]
 
     def from_grid(self, row: int, col: int) -> int:
         if not (0 <= row < self.row_count and 0 <= col < self.col_count):
             raise ValueError(f"grid index ({row}, {col}) out of range")
-        code = 0
-        for v, var in zip(self._bits(gray(row), len(self.row_vars)), self.row_vars):
-            code |= v << (var - 1)
-        for v, var in zip(self._bits(gray(col), len(self.col_vars)), self.col_vars):
-            code |= v << (var - 1)
-        return code
+        return self._axis_code(row, self.row_vars) | self._axis_code(col, self.col_vars)
 
     @staticmethod
     def _bits(value: int, width: int) -> tuple[int, ...]:

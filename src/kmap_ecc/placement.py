@@ -139,6 +139,18 @@ class Placement:
         return cls(int(obj["n"]), tuple(int(x) for x in obj["data"]))
 
 
+def _placement(n: int, data: tuple[int, ...]) -> Placement:
+    """A :class:`Placement` of a checked width and a tuple of ints already
+    known to be n-bit codes, as the searches draw them, without checking
+    them again; equal, and equal in hash, to ``Placement(n, data)``.  The
+    fields are set as the dataclass's own ``__init__`` sets them: writing
+    to ``__dict__`` instead makes each later attribute read slower."""
+    p = object.__new__(Placement)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "data", data)
+    return p
+
+
 @dataclass(frozen=True)
 class SClass:
     """Weights of X_1..X_k and their pairwise distances, distances in
@@ -454,7 +466,7 @@ def naive_search(n: int, d: int, stats: SearchStats | None = None) -> Iterator[P
         stats.candidates_evaluated += 1
         if not _collides(combo, n):
             stats.placements_emitted += 1
-            yield Placement(n, combo)
+            yield _placement(n, combo)
 
 
 def _pairs_of_situation(n: int, w1: int, w2: int, dist: int) -> Iterator[tuple[int, int]]:
@@ -499,8 +511,13 @@ def guided_search(
 
     X_1 and X_2 are drawn from the blessed pair situations.  X_3 candidates
     are visited class by class in descending double-weight priority, and the
-    minimum-distance kernel alone decides them (a square of weight <= 3,
-    within distance 2 of X_1 or X_2, or forbidden fails it).  X_4 skips the
+    minimum-distance kernel alone decides them.  Over a valid pair it fails
+    a square of weight <= 3 or within distance 2 of X_1 or X_2, which the
+    class decides once, or one with weight(X_1 ^ X_2 ^ X_3) <= 1 (forbidden,
+    or X_1 ^ X_2 itself), one popcount per survivor of the AND of two
+    bitsets over the class's codes: those at the class distance from X_1,
+    and from X_2.  Each code of X_3's weight still counts as one candidate
+    per valid pair, in ascending order, as if tried in turn.  X_4 skips the
     trio's flanked set (parity footprint, trio, their side squares) and its
     pairs' forbidden squares, a pre-filter cheaper than the kernel, then tries
     the rest by descending count of side squares landing in that set.
@@ -524,7 +541,7 @@ def guided_search(
         for x1 in sorted(_weight_class(4, n) + _weight_class(5, n)):
             stats.candidates_evaluated += 1
             stats.placements_emitted += 1
-            yield Placement(n, (x1,))
+            yield _placement(n, (x1,))
         return
 
     if d == 2:
@@ -533,7 +550,7 @@ def guided_search(
                 stats.candidates_evaluated += 1
                 if not _collides((x1, x2), n):
                     stats.placements_emitted += 1
-                    yield Placement(n, (x1, x2))
+                    yield _placement(n, (x1, x2))
         return
 
     for cls, _count in triple_classes(n):
@@ -544,28 +561,55 @@ def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Ite
     w1, w2, w3 = (cls.weights + (None, None, None))[:3]
     d12, d13, d23 = (cls.distances + (None, None, None))[:3]
     c1, c2, c3 = (_weight_class(w, n) for w in (w1, w2, w3))
+    # The kernel's subsets of X_1, X_2 and X_3 other than {X_1, X_2, X_3}
+    # depend on the class alone: |D| + weight(XOR D) < 5 for |D| <= 2.
+    pair_collides = d >= 2 and (w1 <= 3 or w2 <= 3 or d12 <= 2)
+    third_collides = d >= 3 and (w3 <= 3 or d13 <= 2 or d23 <= 2)
+
+    def ring(x: int, dist: int) -> int:
+        """Bitset of the positions in c3 of the codes at distance `dist` from x."""
+        return sum(1 << i for i, y in enumerate(c3) if (x ^ y).bit_count() == dist)
+
+    rings2: dict[int, int] = {}
     for x1 in c1:
         stats.candidates_evaluated += 1
+        ring1 = None
         for x2 in c2:
             if x2 == x1:
                 continue
             stats.candidates_evaluated += 1
-            if (x1 ^ x2).bit_count() != d12 or _collides((x1, x2), n):
+            if (x1 ^ x2).bit_count() != d12 or pair_collides:
                 continue
             if d == 2:
                 stats.placements_emitted += 1
-                yield Placement(n, (x1, x2))
+                yield _placement(n, (x1, x2))
                 continue
-            for x3 in c3:
-                stats.candidates_evaluated += 1
-                if ((x1 ^ x3).bit_count() != d13 or (x2 ^ x3).bit_count() != d23
-                        or _collides((x1, x2, x3), n)):
+            if third_collides:
+                stats.candidates_evaluated += len(c3)
+                continue
+            if ring1 is None:
+                ring1 = ring(x1, d13)
+            ring2 = rings2.get(x2)
+            if ring2 is None:
+                ring2 = rings2[x2] = ring(x2, d23)
+            # X_3 at the class distances from both; the counter advances
+            # over c3 as the candidate-by-candidate walk would
+            both, x12, counted = ring1 & ring2, x1 ^ x2, 0
+            while both:
+                low = both & -both
+                both ^= low
+                i = low.bit_length() - 1
+                x3 = c3[i]
+                if (x12 ^ x3).bit_count() <= 1:     # {X_1, X_2, X_3} collides
                     continue
+                stats.candidates_evaluated += i + 1 - counted
+                counted = i + 1
                 if d == 3:
                     stats.placements_emitted += 1
-                    yield Placement(n, (x1, x2, x3))
+                    yield _placement(n, (x1, x2, x3))
                 else:
                     yield from _extend_with_x4(n, (x1, x2, x3), stats)
+            stats.candidates_evaluated += len(c3) - counted
 
 
 def _extend_with_x4(n: int, trio: tuple[int, int, int], stats: SearchStats) -> Iterator[Placement]:
@@ -579,7 +623,7 @@ def _extend_with_x4(n: int, trio: tuple[int, int, int], stats: SearchStats) -> I
     for _prio, x4 in sorted(candidates):
         if not _collides(trio + (x4,), n):
             stats.placements_emitted += 1
-            yield Placement(n, trio + (x4,))
+            yield _placement(n, trio + (x4,))
 
 
 def permute_bits(p: Placement, perm: Sequence[int]) -> Placement:

@@ -2,11 +2,13 @@
 kernel replaced, kept as the reference the kernel is checked against, the
 pattern-level burst-ordering search the bitset walk replaced, and the
 frozenset pattern enumerator and triple-coverage rules the code-bit index
-walk replaced, and a table decoder over received words as bit tuples.
+walk replaced, a table decoder over received words as bit tuples, the
+candidate-by-candidate X_3 walk the class-pinned guided search replaced,
+and the bitwise Gray-grid position.
 
-Each one lists error patterns and their syndromes outright, so it shares
-no reasoning with :func:`kmap_ecc.placement._collides` beyond the codes of
-the parity bits.
+Each syndrome oracle lists error patterns and their syndromes outright,
+so it shares no reasoning with :func:`kmap_ecc.placement._collides` beyond
+the codes of the parity bits.
 """
 
 from itertools import combinations
@@ -124,6 +126,52 @@ def decode(bits, p, table, odd_parity):
     return "corrected", s, pat, tuple(b ^ (i in flips) for i, b in enumerate(bits))
 
 
+def class_pinned_search(n, cls, limit=None):
+    """The guided search pinned to the 2- or 3-data class `cls`, candidate by
+    candidate: ([(data, candidates counted when it is emitted), ...], the
+    final count), stopping at the `limit`-th placement if one is given.
+    Each X_1 of the class weight counts once, each X_2 other than X_1 once,
+    and each X_3 of the class weight once per pair that meets the class
+    distance and is valid, so the X_3 at position i of its weight class is
+    emitted at the pair's count plus i + 1.  A pair or trio is kept when it
+    meets the class distances and its <=2-bit syndromes are all distinct."""
+    def codes(w):
+        return [x for x in range(1 << n) if x.bit_count() == w]
+    units = [1 << b for b in range(n)]
+    c1, c2, c3 = (codes(w) for w in (cls.weights + (None,))[:3])
+    d12, d13, d23 = (cls.distances + (None, None))[:3]
+    emitted, count = [], 0
+    for x1 in c1:
+        count += 1
+        near1 = [(i, x3) for i, x3 in enumerate(c3) if (x1 ^ x3).bit_count() == d13]
+        for x2 in c2:
+            if x2 == x1:
+                continue
+            count += 1
+            if (x1 ^ x2).bit_count() != d12:
+                continue
+            taken = le2_syndromes((x1, x2), n)
+            if len(set(taken)) != len(taken):
+                continue
+            if len(cls.weights) == 2:
+                emitted.append(((x1, x2), count))
+                if len(emitted) == limit:
+                    return emitted, count
+                continue
+            taken = set(taken)
+            for i, x3 in near1:
+                if (x2 ^ x3).bit_count() != d23:
+                    continue
+                # the patterns holding X_3: X_3 alone and with each other bit
+                added = [x3] + [x3 ^ c for c in [x1, x2] + units]
+                if taken.isdisjoint(added) and len(set(added)) == len(added):
+                    emitted.append(((x1, x2, x3), count + i + 1))
+                    if len(emitted) == limit:
+                        return emitted, count + i + 1
+            count += len(c3)
+    return emitted, count
+
+
 def le2_syndromes(data, n):
     codes = list(data) + [1 << b for b in range(n)]
     return [0] + codes + [a ^ b for a, b in combinations(codes, 2)]
@@ -192,3 +240,19 @@ def double_weight_count(candidate, priors, n):
                 or any(dist(s, x) <= 2 for x in priors)):
             count += 1
     return count
+
+
+def grid_position(layout, code):
+    """(row, column) of `code` on a Gray layout, bit by bit: each axis reads
+    its parity variables most-significant first, and the position is the
+    index of that value in the reflected Gray sequence."""
+    def position(axis):
+        g = 0
+        for var in axis:
+            g = (g << 1) | (code >> (var - 1) & 1)
+        index = 0
+        while g:
+            index ^= g
+            g >>= 1
+        return index
+    return position(layout.row_vars), position(layout.col_vars)

@@ -177,6 +177,22 @@ def test_naive_search_accepts_any_data_count(capsys):
     assert code == 0 and out == ""
 
 
+@pytest.mark.parametrize("n,d", [("7", "5"), ("9", "3"), ("16", "2")])
+def test_naive_search_over_budget_is_usage_error(capsys, n, d):
+    code, out, err = run_cli(capsys, "search", "--naive", "--n", n, "--d", d,
+                             "--limit", "1")
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "budget" in err
+
+
+def test_naive_search_budget_admits_width_7_up_to_4_bits(capsys):
+    code, out, err = run_cli(capsys, "search", "--naive", "--d", "4", "--limit", "1")
+    assert code == 0
+    assert json.loads(out)["data"] == [15, 51, 85, 106]
+    assert "candidates evaluated: 16996" in err
+
+
 def test_search_at_width_16(capsys):
     code, out, _ = run_cli(capsys, "search", "--n", "16", "--d", "3", "--limit", "1")
     assert code == 0

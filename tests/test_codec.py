@@ -41,6 +41,19 @@ def test_clean_codeword_zero_syndrome(refs):
         assert syndrome(encode(bits, p), p) == 0
 
 
+@pytest.mark.parametrize("odd", [False, True])
+def test_encode_parity_follows_int_data_bits(refs, odd):
+    """Bits given as strings or floats encode as their int values: "0" is a
+    zero bit although the string is true."""
+    p = refs["s447_433"]
+    for bits in all_data_values(3):
+        want = encode(bits, p, odd)
+        for given_bits in ([str(b) for b in bits], [float(b) for b in bits]):
+            word = encode(given_bits, p, odd)
+            assert word == want
+            assert syndrome(word, p, odd) == 0
+
+
 def test_data_flip_yields_that_mask(refs):
     p = refs["s445_433"]
     for i in range(3):

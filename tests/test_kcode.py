@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from kmap_ecc.kcode import (GrayLayout, binary_label, code_from_json,
                             code_to_json, default_layout, distance,
                             from_parities, gray, gray_index, n_class,
@@ -158,6 +159,19 @@ def test_grid_adjacency_is_distance_one():
             down = lay.from_grid((r + 1) % lay.row_count, c)
             assert distance(code, right, 7) == 1
             assert distance(code, down, 7) == 1
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_to_grid_matches_bitwise_oracle(n):
+    # the custom layout interleaves the variables in no sorted order
+    mixed = tuple(range(2, n + 1, 3)) + tuple(range(1, n + 1, 3))
+    rest = tuple(k for k in range(n, 0, -1) if k not in mixed)
+    for lay in (default_layout(n), GrayLayout(n, mixed, rest)):
+        for code in range(1 << n):
+            assert lay.to_grid(code) == oracles.grid_position(lay, code)
+        for bad in (-1, 1 << n):
+            with pytest.raises(ValueError, match="does not fit"):
+                lay.to_grid(bad)
 
 
 @given(st.integers(4, 9), st.data())

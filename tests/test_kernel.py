@@ -64,6 +64,17 @@ def test_first_collision_kind_matches_oracle_on_heavy_codes(case):
     assert _first_collision_kind(data, n) == oracles.first_collision_kind(data, n)
 
 
+def test_first_collision_kind_on_every_pruned_triple_at_9():
+    """Every triple the pruned n=9 sweep classifies: weight-5 codes at
+    pairwise distance at least 5."""
+    n5 = [x for x in range(1 << 9) if weight(x) == 5]
+    triples = [t for t in combinations(n5, 3)
+               if all(weight(a ^ b) >= 5 for a, b in combinations(t, 2))]
+    assert len(triples) == 7560
+    for t in triples:
+        assert _first_collision_kind(t, 9) == oracles.first_collision_kind(t, 9), t
+
+
 def test_theorem4_survivors_match_brute_force():
     for n in (6, 7):
         singles = [x for x in range(1, 1 << n) if not oracles.collides((x,), n)]

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 
+from kmap_ecc.coverage import CENSUS_FAMILIES
 from kmap_ecc.kcode import from_parities, weight
 from kmap_ecc.placement import (BLESSED_PAIR_SITUATIONS, ErrorPattern,
                                 Placement, SClass, SearchStats,
@@ -242,6 +243,49 @@ def test_guided_stream_pinned(key):
     count, digest = _stream_pin(islice(guided_search(n, d, stats=stats), limit))
     assert (count, stats.candidates_evaluated, digest) == GUIDED_STREAM_PINS[key]
     assert stats.placements_emitted == count
+
+
+#: Classes the guided search cannot realize: X_3 of weight 3, X_3 within
+#: distance 2 of X_1 or X_2, a pair within distance 2, X_1 of weight 3, and
+#: for 2 data bits a pair within distance 2, X_1 of weight 3 and a distance
+#: no codes of weights 4 and 5 have.
+_UNREALIZABLE = ("S_443^444", "S_444^424", "S_444^442", "S_444^244",
+                 "S_344^444", "S_454^323", "S_44^2", "S_34^3", "S_45^6")
+
+
+def _pinned_classes(n):
+    labels = [lab for fam in CENSUS_FAMILIES for lab in fam] + list(_UNREALIZABLE)
+    labels += [f"S_{w1}{w2}^{dist}" for w1, w2, dist in BLESSED_PAIR_SITUATIONS]
+    classes = {cls for cls, _count in triple_classes(n)}
+    return sorted(classes | {SClass.parse(lab) for lab in labels}, key=SClass.sort_key)
+
+
+@pytest.mark.parametrize("n,limit", [(7, None), (8, 2000)])
+def test_class_pinned_stream_matches_candidate_walk(n, limit):
+    """The ring-bitset X_3 step emits what the candidate-by-candidate walk
+    emits, with the same candidate count at every placement and at the end
+    (at n=8, whose classes emit about a million trios, the first `limit`
+    of each class)."""
+    for cls in _pinned_classes(n):
+        stats = SearchStats()
+        stream = guided_search(n, len(cls.weights), sclass=cls, stats=stats)
+        got = [(p.data, stats.candidates_evaluated) for p in islice(stream, limit)]
+        want, total = oracles.class_pinned_search(n, cls, limit)
+        assert got == want, cls.label
+        assert stats.candidates_evaluated == total, cls.label
+        assert stats.placements_emitted == len(want), cls.label
+
+
+def test_search_emitted_placements_equal_constructed_ones():
+    streams = [guided_search(7, d) for d in (1, 2, 3)]
+    streams += [islice(guided_search(7, 4), 300), naive_search(7, 2),
+                islice(naive_search(7, 4), 50),
+                guided_search(7, 2, sclass=SClass.parse("S_45^3"))]
+    for stream in streams:
+        for p in stream:
+            q = Placement(p.n, p.data)
+            assert type(p) is Placement and p == q and hash(p) == hash(q)
+            assert repr(p) == repr(q) and type(p.data) is tuple
 
 
 _FIRST_TRIPLE_PEAK = """
