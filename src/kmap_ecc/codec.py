@@ -7,7 +7,7 @@ order is a separate concern handled by orderings in the burst module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Container, Iterator, Mapping, Sequence
 
 from .placement import (ErrorPattern, Placement, require_valid, _index_patterns,
                         _pattern)
@@ -132,21 +132,38 @@ def covered_triples(p: Placement) -> dict[int, ErrorPattern]:
     tie-break rule; the only others are the winners of squares that
     X_1X_2X_3 loses.
     """
-    base = {s for _idx, s in _index_patterns(p, (0, 1, 2))}
-    claims: dict[int, list[tuple[int, ...]]] = {}
-    for idx, s in _index_patterns(p, (3,)):
-        if s not in base:
-            claims.setdefault(s, []).append(idx)
+    return _covered_triples(p, {s for _idx, s in _index_patterns(p, (0, 1, 2))})
+
+
+def _free_triples(p: Placement, taken: Container[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(index tuple, syndrome) of each three-bit pattern, in pattern order,
+    whose syndrome is not in `taken`, the squares of the <=2-bit patterns."""
+    return [(idx, s) for idx, s in _index_patterns(p, (3,)) if s not in taken]
+
+
+def _covered_triples(p: Placement, taken: Container[int]) -> dict[int, ErrorPattern]:
+    """:func:`covered_triples` given the squares of the <=2-bit patterns, in
+    one pass.  Each free square keeps its first claimant and a claim count.
+    Its first strong (not all-data) claimant replaces both in place, and
+    all-data claims after it do not count; the square is covered iff its
+    count ends at 1."""
     d = p.d
-    out: dict[int, ErrorPattern] = {}
-    for s, triples in claims.items():
+    first: dict[int, tuple[int, ...]] = {}
+    claims: dict[int, int] = {}
+    strong: set[int] = set()
+    for idx, s in _free_triples(p, taken):
         # indices ascend, so a triple is all-data iff its last index is < d
-        strong = [idx for idx in triples if idx[2] >= d]
-        if len(strong) == 1:
-            out[s] = _pattern(strong[0], d)
-        elif not strong and len(triples) == 1:
-            out[s] = _pattern(triples[0], d)
-    return out
+        if idx[2] >= d:
+            if s in strong:
+                claims[s] += 1
+            else:
+                strong.add(s)
+                first[s] = idx
+                claims[s] = 1
+        elif s not in strong:
+            claims[s] = claims.get(s, 0) + 1
+            first.setdefault(s, idx)
+    return {s: _pattern(idx, d) for s, idx in first.items() if claims[s] == 1}
 
 
 @dataclass(frozen=True)
@@ -176,9 +193,9 @@ def build_tables(p: Placement, include_triples: bool = False) -> CodecTables:
     the covered triples; raises PlacementError (with the collision report) on
     an invalid placement."""
     table = require_valid(p)
+    triples = _covered_triples(p, table) if include_triples else {}
     del table[0]
-    if include_triples:
-        table.update(covered_triples(p))
+    table.update(triples)
     return CodecTables(p, table, include_triples)
 
 

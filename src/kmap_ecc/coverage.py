@@ -13,7 +13,7 @@ from typing import Mapping
 from .kcode import check_width, weight
 from .placement import (ErrorPattern, Placement, SClass, guided_search,
                         require_valid, _collides, _index_patterns, _pattern)
-from .codec import covered_triples
+from .codec import _covered_triples, _free_triples
 
 __all__ = [
     "CoverageReport", "three_bit_coverage", "CLASS_KEYS",
@@ -25,8 +25,12 @@ __all__ = [
 CLASS_KEYS = ("XXP", "PPP", "XPP", "XXX")
 
 
+#: The class key of a triple, indexed by its number of data members.
+_CLASS_BY_DATA_COUNT = ("PPP", "XPP", "XXP", "XXX")
+
+
 def _class_key(pat: ErrorPattern) -> str:
-    return {2: "XXP", 0: "PPP", 1: "XPP", 3: "XXX"}[len(pat.data)]
+    return _CLASS_BY_DATA_COUNT[len(pat.data)]
 
 
 @dataclass(frozen=True)
@@ -69,16 +73,16 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
         raise ValueError("three-bit coverage is defined for 3-data-bit placements")
     if _collides(p.data, p.n):
         require_valid(p)  # raises PlacementError with the collision report
-    if mode == "strict":
-        table = covered_triples(p)
-    elif mode == "assignable":
-        base = {s for _idx, s in _index_patterns(p, (0, 1, 2))}
-        table = {}
-        for idx, s in _index_patterns(p, (3,)):
-            if s not in base and s not in table:
-                table[s] = _pattern(idx, p.d)
-    else:
+    if mode not in ("strict", "assignable"):
         raise ValueError(f"unknown coverage mode {mode!r}")
+    taken = {s for _idx, s in _index_patterns(p, (0, 1, 2))}
+    if mode == "strict":
+        table = _covered_triples(p, taken)
+    else:
+        first: dict[int, tuple[int, ...]] = {}
+        for idx, s in _free_triples(p, taken):
+            first.setdefault(s, idx)
+        table = {s: _pattern(idx, p.d) for s, idx in first.items()}
     covered = tuple(sorted(((pat, s) for s, pat in table.items()),
                            key=lambda kv: kv[0].sort_key()))
     counts = Counter(_class_key(pat) for pat, _ in covered)
@@ -283,6 +287,11 @@ class MinParityReport:
 MAX_MIN_PARITY_WIDTH = 12
 
 
+def _check_min_parity_width(n: int) -> None:
+    if not 4 <= n <= MAX_MIN_PARITY_WIDTH:
+        raise ValueError(f"min-parity search supports widths 4..{MAX_MIN_PARITY_WIDTH}")
+
+
 def min_parity_search(n: int, pruned: bool = True) -> MinParityReport:
     """Search for a 3-data placement whose map covers every <=3-bit error.
 
@@ -295,8 +304,7 @@ def min_parity_search(n: int, pruned: bool = True) -> MinParityReport:
     infeasible outright while n=10 admits covering placements, the first of
     which is returned as witness.
     """
-    if not 4 <= n <= MAX_MIN_PARITY_WIDTH:
-        raise ValueError(f"min-parity search supports widths 4..{MAX_MIN_PARITY_WIDTH}")
+    _check_min_parity_width(n)
     if pruned:
         return _pruned_min_parity(n)
     return _unpruned_min_parity(n)
@@ -376,7 +384,8 @@ def _unpruned_min_parity(n: int) -> MinParityReport:
 
 def full_coverage_search(n: int, limit: int = 1) -> list[Placement]:
     """First `limit` 3-data placements covering every <=3-bit error, unpruned,
-    in lexicographic order."""
+    in lexicographic order, for the widths :func:`min_parity_search` takes."""
+    _check_min_parity_width(n)
     out = []
     for a, b, _thirds, cover in _covering_walk(n, _pair_masks(n)):
         for c in _members(cover):

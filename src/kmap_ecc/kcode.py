@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 MIN_WIDTH = 4
 MAX_WIDTH = 16
@@ -67,6 +68,12 @@ def n_class(m: int, n: int) -> tuple[int, ...]:
     check_width(n)
     if not 0 <= m <= n:
         raise ValueError(f"weight class must be in [0, {n}], got {m}")
+    return _n_class(m, n)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _n_class(m: int, n: int) -> tuple[int, ...]:
+    """:func:`n_class` of a checked (m, n): at most 17 x 13 classes."""
     return tuple(sorted(sum(1 << b for b in bits) for bits in combinations(range(n), m)))
 
 
@@ -143,6 +150,8 @@ def gray(i: int) -> int:
 
 def gray_index(g: int) -> int:
     """Inverse of gray(): the position of codeword g in the sequence."""
+    if g < 0:
+        raise ValueError(f"a Gray codeword is non-negative, got {g}")
     i = 0
     while g:
         i ^= g
@@ -177,37 +186,22 @@ class GrayLayout:
     def col_count(self) -> int:
         return 1 << len(self.col_vars)
 
-    @staticmethod
-    def _axis_code(index: int, axis: tuple[int, ...]) -> int:
-        """The bits over `axis` of the Gray codeword at position `index`."""
-        code = 0
-        for v, var in zip(GrayLayout._bits(gray(index), len(axis)), axis):
-            code |= v << (var - 1)
-        return code
-
     @cached_property
-    def _grid_index(self) -> tuple[int, dict[int, int], int, dict[int, int]]:
-        """Per axis, its bit mask and a table from a code's bits under that
-        mask to the row (column) index: 2^|axis| entries each."""
-        def table(axis):
-            return {self._axis_code(i, axis): i for i in range(1 << len(axis))}
-        return (from_parities(self.row_vars), table(self.row_vars),
-                from_parities(self.col_vars), table(self.col_vars))
+    def _axes(self) -> tuple["_Axis", "_Axis"]:
+        """The row and the column :class:`_Axis` tables."""
+        return _Axis.of(self.row_vars), _Axis.of(self.col_vars)
 
     def to_grid(self, code: int) -> tuple[int, int]:
         """Map a K-code to its (row index, column index)."""
         check_code(code, self.n)
-        row_mask, rows, col_mask, cols = self._grid_index
-        return rows[code & row_mask], cols[code & col_mask]
+        rows, cols = self._axes
+        return rows.index[code & rows.mask], cols.index[code & cols.mask]
 
     def from_grid(self, row: int, col: int) -> int:
         if not (0 <= row < self.row_count and 0 <= col < self.col_count):
             raise ValueError(f"grid index ({row}, {col}) out of range")
-        return self._axis_code(row, self.row_vars) | self._axis_code(col, self.col_vars)
-
-    @staticmethod
-    def _bits(value: int, width: int) -> tuple[int, ...]:
-        return tuple(value >> (width - 1 - i) & 1 for i in range(width))
+        rows, cols = self._axes
+        return rows.codes[row] | cols.codes[col]
 
     def row_bits(self, row: int) -> str:
         return format(gray(row), f"0{len(self.row_vars)}b")
@@ -217,11 +211,11 @@ class GrayLayout:
 
     @property
     def row_order(self) -> tuple[str, ...]:
-        return tuple(self.row_bits(r) for r in range(self.row_count))
+        return self._axes[0].labels
 
     @property
     def col_order(self) -> tuple[str, ...]:
-        return tuple(self.col_bits(c) for c in range(self.col_count))
+        return self._axes[1].labels
 
     def row_of(self, bits: str) -> int:
         return gray_index(int(bits, 2))
@@ -235,6 +229,32 @@ class GrayLayout:
     @classmethod
     def from_json(cls, obj: dict) -> "GrayLayout":
         return cls(int(obj["n"]), tuple(obj["row_vars"]), tuple(obj["col_vars"]))
+
+
+class _Axis(NamedTuple):
+    """One grid axis as tables over its 2^|axis| positions."""
+
+    mask: int                   # the axis's parity bits
+    codes: tuple[int, ...]      # position -> the code's bits over the axis
+    labels: tuple[str, ...]     # position -> Gray label, as row_bits/col_bits
+    index: dict[int, int]       # code & mask -> position
+    by_label: dict[str, int]    # label -> position, for labels that fit
+
+    @classmethod
+    def of(cls, axis: tuple[int, ...]) -> "_Axis":
+        width = len(axis)
+
+        def axis_code(index: int) -> int:
+            """The Gray codeword at `index`, its bits read over `axis`."""
+            g = gray(index)
+            return sum(1 << (var - 1) for k, var in enumerate(axis) if g >> (width - 1 - k) & 1)
+
+        codes = tuple(axis_code(i) for i in range(1 << width))
+        labels = tuple(format(gray(i), f"0{width}b") for i in range(1 << width))
+        # an empty axis labels its one position "0", which no grid CSV may use
+        return cls(from_parities(axis), codes, labels,
+                   {code: i for i, code in enumerate(codes)},
+                   {label: i for i, label in enumerate(labels) if len(label) == width})
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, combinations
+from operator import xor
 from typing import Iterator, Sequence
 
 from .kcode import (check_code, check_width, n_class, parity_code, side_squares,
@@ -315,12 +316,19 @@ def _index_patterns(p: Placement, sizes: Sequence[int]) -> Iterator[tuple[tuple[
     K-code, or the unit code of P_k.
     """
     cols = p.data + tuple(1 << k for k in range(p.n))
-    for size in sizes:
-        for idx in combinations(range(len(cols)), size):
-            s = 0
-            for i in idx:
-                s ^= cols[i]
-            yield idx, s
+    return chain.from_iterable(
+        zip(combinations(range(len(cols)), size), _syndromes(cols, size)) for size in sizes)
+
+
+def _syndromes(cols: tuple[int, ...], size: int) -> list[int]:
+    """The XOR of each `size`-combination of `cols`, in combinations order."""
+    if size == 1:
+        return list(cols)
+    if size == 2:
+        return [a ^ b for a, b in combinations(cols, 2)]
+    if size == 3:
+        return [a ^ b ^ c for a, b, c in combinations(cols, 3)]
+    return [reduce(xor, combo, 0) for combo in combinations(cols, size)]
 
 
 def occupied_map(p: Placement) -> OccupiedResult:
@@ -330,6 +338,10 @@ def occupied_map(p: Placement) -> OccupiedResult:
     distinct, otherwise the colliding groups; a collision is an inspection
     result, not an exception.
     """
+    if not _collides(p.data, p.n):
+        d = p.d
+        return OccupiedResult(p, {s: _pattern(idx, d)
+                                  for idx, s in _index_patterns(p, (0, 1, 2))}, ())
     by_syndrome: dict[int, list[tuple[int, ...]]] = {}
     for idx, code in _index_patterns(p, (0, 1, 2)):
         by_syndrome.setdefault(code, []).append(idx)
@@ -339,10 +351,7 @@ def occupied_map(p: Placement) -> OccupiedResult:
         for code, claims in sorted(by_syndrome.items())
         if len(claims) > 1
     )
-    if clashes:
-        return OccupiedResult(p, None, clashes)
-    return OccupiedResult(p, {code: _pattern(claims[0], p.d)
-                              for code, claims in by_syndrome.items()}, ())
+    return OccupiedResult(p, None, clashes)
 
 
 def collisions(p: Placement) -> tuple[Collision, ...]:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .kcode import GrayLayout, default_layout
 from .placement import ErrorPattern, Placement, require_valid
-from .codec import covered_triples
+from .codec import _covered_triples
 
 __all__ = ["MapGrid", "CellDiff", "render_map", "diff_grids",
            "grid_to_text", "grid_to_csv", "grid_to_json", "grid_from_csv",
@@ -31,7 +32,13 @@ class MapGrid:
         return self.cells.get((row, col), "")
 
     def sorted_cells(self) -> list[tuple[int, int, str]]:
-        return [(r, c, v) for (r, c), v in sorted(self.cells.items())]
+        return [(r, c, v) for (r, c), v in _by_position(self.cells)]
+
+
+def _by_position(cells: dict) -> list[tuple[tuple[int, int], str]]:
+    """The cells' items by (row, col); positions are unique, so labels are
+    never compared."""
+    return sorted(cells.items(), key=itemgetter(0))
 
 
 def render_map(p: Placement, include_triples: bool = False,
@@ -49,10 +56,12 @@ def render_map(p: Placement, include_triples: bool = False,
     if layout.n != p.n:
         raise ValueError("layout width does not match placement width")
     if include_triples:
-        mapping.update(covered_triples(p))
-    cells = {}
-    for code, pat in mapping.items():
-        cells[layout.to_grid(code)] = pat.label if pat.size else ZERO_LABEL
+        mapping.update(_covered_triples(p, mapping))
+    rows, cols = layout._axes
+    row_at, row_mask, col_at, col_mask = rows.index, rows.mask, cols.index, cols.mask
+    cells = {(row_at[code & row_mask], col_at[code & col_mask]): pat.label
+             for code, pat in mapping.items()}
+    cells[0, 0] = ZERO_LABEL     # square 0, the empty pattern's, is the origin
     if forbidden_for is not None:
         from .placement import forbidden_squares
         i, j = forbidden_for
@@ -76,6 +85,8 @@ def diff_grids(a: MapGrid, b: MapGrid) -> tuple[CellDiff, ...]:
     """Cell-level differences; empty means identical."""
     if (a.layout.row_count, a.layout.col_count) != (b.layout.row_count, b.layout.col_count):
         raise ValueError("grid dimensions differ")
+    if a.cells == b.cells:
+        return ()
     out = []
     for key in sorted(set(a.cells) | set(b.cells)):
         va, vb = a.cells.get(key, ""), b.cells.get(key, "")
@@ -87,26 +98,29 @@ def diff_grids(a: MapGrid, b: MapGrid) -> tuple[CellDiff, ...]:
 def grid_to_text(grid: MapGrid) -> str:
     """Fixed-width table with Gray-coded row/column headers."""
     lay = grid.layout
+    rows, cols = lay._axes
     head = "rows " + " ".join(f"s{k}" for k in lay.row_vars) \
          + " | cols " + " ".join(f"s{k}" for k in lay.col_vars)
-    width = max([len(v) for v in grid.cells.values()] + [len(lay.col_bits(0))]) + 1
+    width = max([len(v) for v in grid.cells.values()] + [len(cols.labels[0])]) + 1
     lines = [head]
-    corner = " " * (len(lay.row_bits(0)) + 1)
-    lines.append(corner + "".join(lay.col_bits(c).ljust(width) for c in range(lay.col_count)))
-    for r in range(lay.row_count):
-        row = lay.row_bits(r) + " "
+    corner = " " * (len(rows.labels[0]) + 1)
+    lines.append(corner + "".join(label.ljust(width) for label in cols.labels))
+    for r, row_label in enumerate(rows.labels):
+        row = row_label + " "
         row += "".join(grid.label_at(r, c).ljust(width) for c in range(lay.col_count))
         lines.append(row.rstrip())
     return "\n".join(lines) + "\n"
 
 
 def grid_to_csv(grid: MapGrid) -> str:
+    """One line per labeled cell, by (row, column): its Gray row and column
+    labels and its label, under the header row,col,label."""
+    rows, cols = grid.layout._axes
+    row_labels, col_labels = rows.labels, cols.labels
     buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["row", "col", "label"])
-    lay = grid.layout
-    for r, c, label in grid.sorted_cells():
-        w.writerow([lay.row_bits(r), lay.col_bits(c), label])
+    csv.writer(buf).writerows(
+        [("row", "col", "label")]
+        + [(row_labels[r], col_labels[c], label) for (r, c), label in _by_position(grid.cells)])
     return buf.getvalue()
 
 
@@ -118,15 +132,20 @@ def grid_to_json(grid: MapGrid) -> dict:
 
 
 def grid_from_csv(text: str, layout: GrayLayout) -> MapGrid:
+    rows, cols = layout._axes
+    row_at, col_at = rows.by_label, cols.by_label
     cells = {}
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != ["row", "col", "label"]:
         raise ValueError("grid CSV must start with header row,col,label")
     for rowbits, colbits, label in reader:
-        if len(rowbits) != len(layout.row_vars) or len(colbits) != len(layout.col_vars):
-            raise ValueError(f"cell ({rowbits}, {colbits}) does not fit the layout")
-        cells[(layout.row_of(rowbits), layout.col_of(colbits))] = label
+        r, c = row_at.get(rowbits), col_at.get(colbits)
+        if r is None or c is None:      # not labels the layout writes: read numbers
+            if len(rowbits) != len(layout.row_vars) or len(colbits) != len(layout.col_vars):
+                raise ValueError(f"cell ({rowbits}, {colbits}) does not fit the layout")
+            r, c = layout.row_of(rowbits), layout.col_of(colbits)
+        cells[r, c] = label
     return MapGrid(layout, cells)
 
 

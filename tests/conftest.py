@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kmap_ecc
-from kmap_ecc import min_parity_search, reference_placements
+from kmap_ecc import Placement, census, min_parity_search, reference_placements
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,6 +59,15 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def refs():
     return reference_placements()
+
+
+@pytest.fixture(scope="session")
+def survey_placements():
+    """Every census(7|8, full=True) class, the n=10 covering witness and the
+    reference placements."""
+    out = [r.placement for n in (7, 8) for r in census(n, full=True)]
+    assert len(out) == 104
+    return out + [Placement(10, (63, 455, 729))] + list(reference_placements().values())
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,17 @@ pattern-level burst-ordering search the bitset walk replaced, and the
 frozenset pattern enumerator and triple-coverage rules the code-bit index
 walk replaced, a table decoder over received words as bit tuples, the
 candidate-by-candidate X_3 walk the class-pinned guided search replaced,
-and the bitwise Gray-grid position.
+the bitwise Gray-grid position, and the grouping <=2-bit map, the
+per-cell map renderer and the formatted grid CSV writer and reader the
+valid-placement fast path and the layout tables replaced.
 
 Each syndrome oracle lists error patterns and their syndromes outright,
 so it shares no reasoning with :func:`kmap_ecc.placement._collides` beyond
 the codes of the parity bits.
 """
 
+import csv
+import io
 from itertools import combinations
 
 from kmap_ecc.placement import ErrorPattern
@@ -64,6 +68,19 @@ def iter_patterns(p, sizes=(1, 2)):
             data = frozenset().union(*(m.data for m in combo))
             ps = frozenset().union(*(m.parities for m in combo))
             yield ErrorPattern(data, ps)
+
+
+def occupied_map(p):
+    """Every <=2-bit pattern grouped under its syndrome, in first-claim
+    order: (the syndrome -> pattern items, or None on a collision; the
+    (syndrome, claimants by sort key) of each shared square, ascending)."""
+    by_syndrome = {}
+    for pat in iter_patterns(p, (0, 1, 2)):
+        by_syndrome.setdefault(pat.syndrome(p), []).append(pat)
+    clashes = [(s, sorted(pats, key=ErrorPattern.sort_key))
+               for s, pats in sorted(by_syndrome.items()) if len(pats) > 1]
+    mapping = None if clashes else [(s, pats[0]) for s, pats in by_syndrome.items()]
+    return mapping, clashes
 
 
 def covered_triples(p):
@@ -250,9 +267,53 @@ def grid_position(layout, code):
         g = 0
         for var in axis:
             g = (g << 1) | (code >> (var - 1) & 1)
-        index = 0
-        while g:
-            index ^= g
-            g >>= 1
-        return index
+        return gray_position(g)
     return position(layout.row_vars), position(layout.col_vars)
+
+
+def gray_position(g):
+    """The index of codeword `g` in the reflected Gray sequence."""
+    index = 0
+    while g:
+        index ^= g
+        g >>= 1
+    return index
+
+
+def map_cells(p, layout, include_triples):
+    """(row, col) -> label of each square of the <=2-bit map of a valid
+    placement, in map order, then of each covered triple, cell by cell; the
+    zero square is labeled "N"."""
+    mapping, _clashes = occupied_map(p)
+    table = dict(mapping)
+    if include_triples:
+        table.update(covered_triples(p))
+    return {grid_position(layout, s): pat.label if pat.size else "N"
+            for s, pat in table.items()}
+
+
+def grid_csv(layout, cells):
+    """Grid CSV text: the header, then a row per cell by position, each
+    index written as its Gray codeword in binary over the axis width."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["row", "col", "label"])
+    for (r, c), label in sorted(cells.items()):
+        w.writerow([format(r ^ (r >> 1), f"0{len(layout.row_vars)}b"),
+                    format(c ^ (c >> 1), f"0{len(layout.col_vars)}b"), label])
+    return buf.getvalue()
+
+
+def parse_grid_csv(text, layout):
+    """The cells of grid CSV text, each label read as a binary number of
+    the axis width; raises ValueError as the grid reader does.  Labels must
+    not read as negative numbers."""
+    cells = {}
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != ["row", "col", "label"]:
+        raise ValueError("grid CSV must start with header row,col,label")
+    for rowbits, colbits, label in reader:
+        if len(rowbits) != len(layout.row_vars) or len(colbits) != len(layout.col_vars):
+            raise ValueError(f"cell ({rowbits}, {colbits}) does not fit the layout")
+        cells[(gray_position(int(rowbits, 2)), gray_position(int(colbits, 2)))] = label
+    return cells

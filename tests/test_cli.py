@@ -261,7 +261,8 @@ def test_render_layout_width_mismatch_is_usage_error(capsys, placement_files):
     ("row,col,label\n0000000,000,X_1\n", "does not fit the layout"),
     ("row,col,label\n000,0000\n", "not enough values"),
     ("row,col,label\n0201,000,X_1\n", "invalid literal"),
-], ids=["header", "outside", "short-row", "not-binary"])
+    ("row,col,label\n0000,0a1,X_1\n", "invalid literal"),
+], ids=["header", "outside", "short-row", "not-binary", "not-binary-col"])
 def test_diff_bad_grid_is_usage_error(capsys, placement_files, tmp_path, text, reason):
     code, out, _ = run_cli(capsys, "render", "--format", "csv",
                            "--placement", placement_files["s445_433"])

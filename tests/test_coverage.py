@@ -199,6 +199,13 @@ def test_unpruned_search_refutes_the_claim_at_10():
     assert all(weight(x) >= 6 for x in p.data)
 
 
+@pytest.mark.parametrize("n", [0, 2, 3, 13])
+def test_min_parity_searches_reject_widths_outside_range(n):
+    for search in (min_parity_search, full_coverage_search):
+        with pytest.raises(ValueError, match="supports widths 4..12"):
+            search(n)
+
+
 def test_unpruned_8_and_9_infeasible():
     assert min_parity_search(8, pruned=False).infeasible
     assert min_parity_search(9, pruned=False).infeasible

@@ -1,5 +1,6 @@
 """Syndrome-code algebra and Gray-grid layout."""
 
+import itertools
 import math
 
 import pytest
@@ -63,6 +64,18 @@ def test_side_weights_adjacent_classes():
         m = weight(code)
         assert {weight(s) for s in side_squares(code, 1, 7)} <= {m - 1, m + 1}
         assert {weight(s) for s in side_squares(code, 2, 7)} <= {m - 2, m, m + 2}
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_n_class_matches_sorted_combinations(n):
+    for m in range(n + 1):
+        want = tuple(sorted(sum(1 << b for b in bits)
+                            for bits in itertools.combinations(range(n), m)))
+        assert n_class(m, n) == want
+        assert n_class(m, n) is n_class(m, n)       # built once per (m, n)
+    for bad in (-1, n + 1):
+        with pytest.raises(ValueError, match="weight class"):
+            n_class(bad, n)
 
 
 def test_n_class_sizes_and_order():
@@ -186,6 +199,11 @@ def test_layout_round_trip_random_splits(n, data):
 def test_gray_index_inverts_gray():
     for i in range(256):
         assert gray_index(gray(i)) == i
+
+
+def test_gray_index_rejects_negative():
+    with pytest.raises(ValueError, match="non-negative"):
+        gray_index(-1)
 
 
 def test_bad_layout_rejected():

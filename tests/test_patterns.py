@@ -1,7 +1,7 @@
 """The code-bit index pattern walk against the frozenset pattern oracles.
 
-`iter_patterns`, `occupied_map`, `covered_triples` and the assignable
-coverage mode all read patterns as tuples of code-bit indices (X_1..X_d,
+`iter_patterns`, `occupied_map`, `covered_triples`, `build_tables` and the
+assignable coverage mode all read patterns as tuples of code-bit indices (X_1..X_d,
 then P_1..P_n) and XOR column codes; `oracles` builds every pattern as a
 union of one-member ErrorPatterns and asks each one for its syndrome.
 """
@@ -11,46 +11,30 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from kmap_ecc.codec import covered_triples, iter_patterns
-from kmap_ecc.coverage import census, three_bit_coverage
-from kmap_ecc.placement import (ErrorPattern, Placement, occupied_map,
-                                reference_placements)
+from kmap_ecc.codec import build_tables, covered_triples, iter_patterns
+from kmap_ecc.coverage import three_bit_coverage
+from kmap_ecc.placement import Placement, occupied_map, reference_placements
 
 SIZE_SETS = [s for r in range(4) for s in combinations((1, 2, 3), r)]
-
-
-def _survey_placements():
-    """Every census(7|8, full=True) class, the n=10 covering witness and the
-    reference placements."""
-    out = [r.placement for n in (7, 8) for r in census(n, full=True)]
-    assert len(out) == 104
-    return out + [Placement(10, (63, 455, 729))] + list(reference_placements().values())
-
-
-def _oracle_occupied(p):
-    by_syndrome = {}
-    for pat in oracles.iter_patterns(p, (0, 1, 2)):
-        by_syndrome.setdefault(pat.syndrome(p), []).append(pat)
-    clashes = [(s, sorted(pats, key=ErrorPattern.sort_key))
-               for s, pats in sorted(by_syndrome.items()) if len(pats) > 1]
-    mapping = None if clashes else [(s, pats[0]) for s, pats in by_syndrome.items()]
-    return mapping, clashes
 
 
 def _assert_walk_matches_oracle(p):
     assert list(covered_triples(p).items()) == list(oracles.covered_triples(p).items())
     result = occupied_map(p)
-    mapping, clashes = _oracle_occupied(p)
+    mapping, clashes = oracles.occupied_map(p)
     assert [(c.syndrome, list(c.patterns)) for c in result.collisions] == clashes
     assert (None if result.mapping is None else list(result.mapping.items())) == mapping
+    if result.valid:
+        assert (list(build_tables(p, True).decode.items())
+                == list(oracles.decode_table(p, True).items()))
     if p.d == 3 and result.valid:
         want = sorted(((pat, s) for s, pat in oracles.assignable_triples(p).items()),
                       key=lambda kv: kv[0].sort_key())
         assert list(three_bit_coverage(p, "assignable").covered) == want
 
 
-def test_survey_placements_match_oracle_in_insertion_order():
-    for p in _survey_placements():
+def test_survey_placements_match_oracle_in_insertion_order(survey_placements):
+    for p in survey_placements:
         _assert_walk_matches_oracle(p)
 
 

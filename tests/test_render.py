@@ -1,12 +1,18 @@
 """Grid rendering, the shipped transcription fixtures, and diffing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kmap_ecc.kcode import default_layout
+import oracles
+from kmap_ecc.kcode import GrayLayout, default_layout
 from kmap_ecc.placement import Placement, PlacementError, occupied_map
-from kmap_ecc.render import (diff_grids, grid_from_csv, grid_to_csv,
+from kmap_ecc.render import (MapGrid, diff_grids, grid_from_csv, grid_to_csv,
                              grid_to_json, grid_to_text, occupied_from_grid,
                              render_map)
+
+FIXTURES = [("map_s445_433.csv", "s445_433", {}),
+            ("map_s447_433_triples.csv", "s447_433", {"include_triples": True}),
+            ("map_s44_4_forbidden.csv", "s44_4", {"forbidden_for": (1, 2)})]
 
 
 def load_fixture(fixture_dir, name):
@@ -102,3 +108,111 @@ def test_text_render_contains_headers(refs):
     text = grid_to_text(render_map(refs["s445_433"]))
     assert text.startswith("rows s7 s5 s3 s1 | cols s6 s4 s2")
     assert "X_1X_2" in text
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_survey_maps_match_cell_oracle(survey_placements):
+    for p in survey_placements:
+        grid = render_map(p, include_triples=True)
+        want = oracles.map_cells(p, grid.layout, True)
+        assert list(grid.cells.items()) == list(want.items()), p
+        text = grid_to_csv(grid)
+        assert text == oracles.grid_csv(grid.layout, want), p
+        back = grid_from_csv(text, grid.layout)
+        assert list(back.cells.items()) == list(oracles.parse_grid_csv(text, grid.layout).items())
+        assert diff_grids(grid, back) == ()
+
+
+@pytest.mark.parametrize("name,ref,kwargs", FIXTURES, ids=[f[1] for f in FIXTURES])
+def test_fixture_csv_bytes(refs, fixture_dir, name, ref, kwargs):
+    with open(fixture_dir / name, newline="") as f:
+        text = f.read()
+    grid = render_map(refs[ref], **kwargs)
+    assert grid_to_csv(grid) == text
+    assert (list(grid_from_csv(text, grid.layout).cells.items())
+            == list(oracles.parse_grid_csv(text, grid.layout).items()))
+
+
+def test_grid_csv_numeric_labels_read_as_before():
+    # labels a layout never writes but int(..., 2) reads take the old path
+    lay = default_layout(7)
+    for text in ("row,col,label\n0000,+01,X_1\n", "row,col,label\n0_01,001,X_1\n",
+                 "row,col,label\n 011, 11,P_1\n"):
+        assert grid_from_csv(text, lay).cells == oracles.parse_grid_csv(text, lay)
+
+
+def test_grid_csv_negative_label_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        grid_from_csv("row,col,label\n0000,-01,X_1\n", default_layout(7))
+
+
+@st.composite
+def layouts(draw, n=None):
+    # either axis may be empty: its one position is labeled "0", which
+    # no grid CSV of that layout can hold
+    n = draw(st.integers(4, 12)) if n is None else n
+    vars_ = draw(st.permutations(range(1, n + 1)))
+    cut = draw(st.integers(0, n))
+    return GrayLayout(n, tuple(vars_[:cut]), tuple(vars_[cut:]))
+
+
+LABELS = st.text(st.sampled_from("XP_0123456789Nf ,\"'"), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layouts(), st.data())
+def test_layout_tables_match_oracle(lay, data):
+    n = lay.n
+    assert lay.row_order == tuple(lay.row_bits(r) for r in range(lay.row_count))
+    assert lay.col_order == tuple(lay.col_bits(c) for c in range(lay.col_count))
+    for code in data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40)):
+        pos = lay.to_grid(code)
+        assert pos == oracles.grid_position(lay, code)
+        assert lay.from_grid(*pos) == code
+    positions = st.tuples(st.integers(0, lay.row_count - 1), st.integers(0, lay.col_count - 1))
+    cells = data.draw(st.dictionaries(positions, LABELS, max_size=30))
+    grid = MapGrid(lay, cells)
+    text = grid_to_csv(grid)
+    assert text == oracles.grid_csv(lay, cells)
+    back = _outcome(lambda: grid_from_csv(text, lay).cells)
+    assert back == _outcome(oracles.parse_grid_csv, text, lay)
+    if lay.row_vars and lay.col_vars:
+        assert back == cells
+        assert diff_grids(grid, MapGrid(lay, back)) == ()
+
+
+@st.composite
+def placements(draw):
+    """Up to five codes at width 4..12, valid or not, or, half the time,
+    those of the drawn codes that keep the placement valid."""
+    n = draw(st.integers(4, 12))
+    codes = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+    if not draw(st.booleans()):
+        return Placement(n, tuple(codes[:5]))
+    data = []
+    for x in codes:
+        if len(data) < 5 and not oracles.collides(data + [x], n):
+            data.append(x)
+    return Placement(n, tuple(data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(placements(), st.booleans(), st.data())
+def test_render_matches_cell_oracle_at_any_width(p, triples, data):
+    lay = data.draw(layouts(p.n))
+    mapping, _clashes = oracles.occupied_map(p)
+    if mapping is None:
+        with pytest.raises(PlacementError):
+            render_map(p, include_triples=triples, layout=lay)
+        return
+    grid = render_map(p, include_triples=triples, layout=lay)
+    want = oracles.map_cells(p, lay, triples)
+    assert list(grid.cells.items()) == list(want.items())
+    assert grid_to_csv(grid) == oracles.grid_csv(lay, want)
