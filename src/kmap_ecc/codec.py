@@ -21,6 +21,11 @@ __all__ = [
 
 _BITS = frozenset((0, 1))
 
+# Parity bits are packed and unpacked a byte at a time: the low-bit-first
+# bits of each byte, and each bit tuple of length <= 8 back to its mask.
+_BYTE_BITS = tuple(tuple(b >> k & 1 for k in range(8)) for b in range(256))
+_BITS_MASK = {bits[:w]: b for w in range(9) for b, bits in enumerate(_BYTE_BITS[:1 << w])}
+
 
 @dataclass(frozen=True)
 class Codeword:
@@ -36,6 +41,9 @@ class Codeword:
             ok = False  # an unhashable member is no bit
         if not ok:
             raise ValueError("codeword bits must be 0 or 1")
+        # a bit given as True or 1.0 is stored as the int it equals
+        object.__setattr__(self, "data", tuple(map(int, self.data)))
+        object.__setattr__(self, "parity", tuple(map(int, self.parity)))
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -67,6 +75,25 @@ class Codeword:
         return cls.from_bits([int(c) for c in word], d)
 
 
+def _word(data: tuple[int, ...], parity: tuple[int, ...]) -> Codeword:
+    """A :class:`Codeword` of two tuples whose members are already the ints
+    0 and 1, without checking them again; equal to ``Codeword(data,
+    parity)``.  The fields are set as the dataclass's own ``__init__`` sets
+    them, as ``placement._placement`` does."""
+    w = object.__new__(Codeword)
+    object.__setattr__(w, "data", data)
+    object.__setattr__(w, "parity", parity)
+    return w
+
+
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    """The n low-bit-first bits of an n-bit `mask`; n <= 16 (``MAX_WIDTH``),
+    so they fill at most two bytes."""
+    if n <= 8:
+        return _BYTE_BITS[mask][:n]
+    return _BYTE_BITS[mask & 255] + _BYTE_BITS[mask >> 8][:n - 8]
+
+
 def _parity_mask(data_bits: Sequence[int], p: Placement, odd_parity: bool) -> int:
     mask = 0
     for bit, code in zip(data_bits, p.data):
@@ -82,8 +109,9 @@ def encode(data_bits: Sequence[int], p: Placement, odd_parity: bool = False) -> 
     if len(data_bits) != p.d:
         raise ValueError(f"expected {p.d} data bits, got {len(data_bits)}")
     data = tuple(map(int, data_bits))
-    mask = _parity_mask(data, p, odd_parity)
-    return Codeword(data, tuple([mask >> k & 1 for k in range(p.n)]))
+    if not _BITS.issuperset(data):
+        raise ValueError("codeword bits must be 0 or 1")
+    return _word(data, _bits(_parity_mask(data, p, odd_parity), p.n))
 
 
 def syndrome(word: Codeword, p: Placement, odd_parity: bool = False) -> int:
@@ -91,9 +119,10 @@ def syndrome(word: Codeword, p: Placement, odd_parity: bool = False) -> int:
     if len(word.data) != p.d or len(word.parity) != p.n:
         raise ValueError("codeword shape does not match placement")
     s = _parity_mask(word.data, p, odd_parity)
-    for k, b in enumerate(word.parity):
-        s ^= b << k
-    return s
+    parity = word.parity
+    if p.n <= 8:
+        return s ^ _BITS_MASK[parity]
+    return s ^ _BITS_MASK[parity[:8]] ^ _BITS_MASK[parity[8:]] << 8
 
 
 def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
@@ -107,7 +136,7 @@ def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
         parity = list(parity)
         for k in pattern.parities:
             parity[k - 1] ^= 1
-    return Codeword(tuple(data), tuple(parity))
+    return _word(tuple(data), tuple(parity))
 
 
 def iter_patterns(p: Placement, sizes: Sequence[int] = (1, 2)) -> Iterator[ErrorPattern]:

@@ -82,13 +82,7 @@ def side_squares(code: int, order: int, n: int) -> tuple[int, ...]:
     check_code(code, n)
     if order not in (1, 2):
         raise ValueError(f"side-square order must be 1 or 2, got {order}")
-    out = []
-    for bits in combinations(range(n), order):
-        y = code
-        for b in bits:
-            y ^= 1 << b
-        out.append(y)
-    return tuple(sorted(out))
+    return tuple(sorted([code ^ t for t in _n_class(order, n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +171,8 @@ class GrayLayout:
         check_width(self.n)
         if sorted(self.row_vars + self.col_vars) != list(range(1, self.n + 1)):
             raise ValueError("row_vars and col_vars must partition 1..n")
+        if not self.row_vars or not self.col_vars:
+            raise ValueError("row_vars and col_vars must each hold a parity variable")
 
     @property
     def row_count(self) -> int:
@@ -238,7 +234,7 @@ class _Axis(NamedTuple):
     codes: tuple[int, ...]      # position -> the code's bits over the axis
     labels: tuple[str, ...]     # position -> Gray label, as row_bits/col_bits
     index: dict[int, int]       # code & mask -> position
-    by_label: dict[str, int]    # label -> position, for labels that fit
+    by_label: dict[str, int]    # label -> position
 
     @classmethod
     def of(cls, axis: tuple[int, ...]) -> "_Axis":
@@ -251,10 +247,9 @@ class _Axis(NamedTuple):
 
         codes = tuple(axis_code(i) for i in range(1 << width))
         labels = tuple(format(gray(i), f"0{width}b") for i in range(1 << width))
-        # an empty axis labels its one position "0", which no grid CSV may use
         return cls(from_parities(axis), codes, labels,
                    {code: i for i, code in enumerate(codes)},
-                   {label: i for i, label in enumerate(labels) if len(label) == width})
+                   {label: i for i, label in enumerate(labels)})
 
 
 @lru_cache(maxsize=None)

@@ -16,8 +16,7 @@ from itertools import chain, combinations
 from operator import xor
 from typing import Iterator, Sequence
 
-from .kcode import (check_code, check_width, n_class, parity_code, side_squares,
-                    weight)
+from .kcode import check_code, check_width, n_class, parity_code, weight, _n_class
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Footprint", "Collision",
@@ -255,7 +254,10 @@ def theorem1_overlap(a: int, b: int, n: int) -> int:
     """Count of shared order-2 side squares for a distance-4 pair (always 6)."""
     if (a ^ b).bit_count() != 4:
         raise ValueError("theorem1_overlap requires Hamming distance exactly 4")
-    return len(set(side_squares(a, 2, n)).intersection(side_squares(b, 2, n)))
+    check_code(a, n)
+    check_code(b, n)
+    offsets = _n_class(2, n)
+    return len({a ^ t for t in offsets} & {b ^ t for t in offsets})
 
 
 def theorem2_overlap(a: int, b: int, n: int) -> int:

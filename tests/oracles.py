@@ -4,9 +4,11 @@ pattern-level burst-ordering search the bitset walk replaced, and the
 frozenset pattern enumerator and triple-coverage rules the code-bit index
 walk replaced, a table decoder over received words as bit tuples, the
 candidate-by-candidate X_3 walk the class-pinned guided search replaced,
-the bitwise Gray-grid position, and the grouping <=2-bit map, the
+the bitwise Gray-grid position, the grouping <=2-bit map, the
 per-cell map renderer and the formatted grid CSV writer and reader the
-valid-placement fast path and the layout tables replaced.
+valid-placement fast path and the layout tables replaced, the
+bit-at-a-time parity packing and syndrome fold the codec's byte tables
+replaced, and side squares by a scan of every square of the map.
 
 Each syndrome oracle lists error patterns and their syndromes outright,
 so it shares no reasoning with :func:`kmap_ecc.placement._collides` beyond
@@ -317,3 +319,45 @@ def parse_grid_csv(text, layout):
             raise ValueError(f"cell ({rowbits}, {colbits}) does not fit the layout")
         cells[(gray_position(int(rowbits, 2)), gray_position(int(colbits, 2)))] = label
     return cells
+
+
+def side_squares(code, order, n):
+    """The squares of the n-bit map at Hamming distance `order` from
+    `code`, ascending, by scanning all 2^n of them."""
+    return tuple(y for y in range(1 << n) if (code ^ y).bit_count() == order)
+
+
+def parity_bits(mask, n):
+    """The n low-bit-first bits of `mask`, one shift per bit."""
+    return [mask >> k & 1 for k in range(n)]
+
+
+def parity_mask(data_bits, p, odd_parity):
+    """XOR of the codes of the set data bits, complemented under odd parity."""
+    mask = 0
+    for bit, code in zip(data_bits, p.data):
+        if bit:
+            mask ^= code
+    if odd_parity:
+        mask ^= (1 << p.n) - 1
+    return mask
+
+
+def encode(data_bits, p, odd_parity):
+    """(data, parity) of the codeword of `data_bits`, each bit an int."""
+    data = tuple(int(b) for b in data_bits)
+    return data, tuple(parity_bits(parity_mask(data, p, odd_parity), p.n))
+
+
+def inject(data, parity, pattern):
+    """(data, parity) with the pattern's members flipped."""
+    return (tuple(b ^ (i + 1 in pattern.data) for i, b in enumerate(data)),
+            tuple(b ^ (k + 1 in pattern.parities) for k, b in enumerate(parity)))
+
+
+def syndrome(data, parity, p, odd_parity):
+    """Recomputed parity folded with the received parity bit by bit."""
+    s = parity_mask(data, p, odd_parity)
+    for k, b in enumerate(parity):
+        s ^= b << k
+    return s

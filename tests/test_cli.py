@@ -256,6 +256,28 @@ def test_render_layout_width_mismatch_is_usage_error(capsys, placement_files):
     assert code == 0 and out.startswith("rows s7 s5 s3 s1")
 
 
+@pytest.mark.parametrize("layout", [
+    {"n": 7, "row_vars": [], "col_vars": [7, 6, 5, 4, 3, 2, 1]},
+    {"n": 7, "row_vars": [7, 6, 5, 4, 3, 2, 1], "col_vars": []},
+], ids=["no-rows", "no-cols"])
+def test_layout_with_an_empty_axis_is_usage_error(capsys, placement_files, tmp_path, layout):
+    """render and diff both refuse a layout with an empty axis, so render
+    never writes a grid CSV that diff cannot read back."""
+    text = json.dumps(layout)
+    code, out, err = run_cli(capsys, "render", "--placement", placement_files["s447_433"],
+                             "--format", "csv", "--layout", text)
+    assert (code, out) == (1, "")
+    assert "usage error: bad layout: row_vars and col_vars must each hold a parity variable" in err
+    code, out, _ = run_cli(capsys, "render", "--placement", placement_files["s447_433"],
+                           "--format", "csv")
+    grid = tmp_path / "grid.csv"
+    grid.write_text(out)
+    code, out, err = run_cli(capsys, "diff", "--a", str(grid), "--b", str(grid),
+                             "--layout", text)
+    assert (code, out) == (1, "")
+    assert "usage error: bad layout: row_vars and col_vars must each hold a parity variable" in err
+
+
 @pytest.mark.parametrize("text,reason", [
     ("not a grid\n", "must start with header"),
     ("row,col,label\n0000000,000,X_1\n", "does not fit the layout"),

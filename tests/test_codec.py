@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from kmap_ecc.codec import (Codeword, build_tables, covered_triples, decode,
-                            encode, inject, iter_patterns, syndrome)
+                            encode, inject, iter_patterns, syndrome, _BITS_MASK, _bits)
 from kmap_ecc.kcode import from_parities, parities, weight
 from kmap_ecc.placement import (ErrorPattern, Placement, PlacementError,
                                 guided_search, is_valid)
@@ -52,6 +52,23 @@ def test_encode_parity_follows_int_data_bits(refs, odd):
             word = encode(given_bits, p, odd)
             assert word == want
             assert syndrome(word, p, odd) == 0
+
+
+def test_encode_and_decode_keep_their_errors(refs):
+    p = refs["s447_433"]
+    with pytest.raises(ValueError, match="expected 3 data bits, got 2"):
+        encode([0, 1], p)
+    for bad in ([2, 0, 0], [0, "-1", 0], [0, 0, 3.0]):
+        with pytest.raises(ValueError, match="codeword bits must be 0 or 1"):
+            encode(bad, p)
+    with pytest.raises(ValueError, match="invalid literal"):
+        encode([0, "x", 0], p)
+    with pytest.raises(TypeError):
+        encode([0, None, 0], p)
+    short = Codeword((0, 0, 0), (0,) * 6)
+    for call in (lambda: syndrome(short, p), lambda: decode(short, build_tables(p))):
+        with pytest.raises(ValueError, match="codeword shape does not match placement"):
+            call()
 
 
 def test_data_flip_yields_that_mask(refs):
@@ -178,14 +195,14 @@ def test_codeword_text_forms(refs):
 
 
 @st.composite
-def valid_placements(draw):
-    """A valid placement at widths 4-12 with 1-4 data bits: drawn heavy
-    codes, each kept when the placement stays valid."""
-    n = draw(st.integers(4, 12))
+def valid_placements(draw, max_n=12, max_d=4):
+    """A valid placement at widths 4-`max_n` with up to `max_d` data bits:
+    drawn heavy codes, each kept when the placement stays valid."""
+    n = draw(st.integers(4, max_n))
     heavy = st.integers(0, (1 << n) - 1).filter(lambda x: weight(x) >= 4)
     data = []
     for code in draw(st.lists(heavy, min_size=1, max_size=8)):
-        if len(data) < 4 and is_valid(Placement(n, (*data, code))):
+        if len(data) < max_d and is_valid(Placement(n, (*data, code))):
             data.append(code)
     return Placement(n, tuple(data))
 
@@ -201,6 +218,69 @@ def test_round_trip_corrects_every_le2_pattern(p, data, odd):
     for pat in iter_patterns(p, (1, 2)):
         fixed, report = decode(inject(word, pat), tables, odd_parity=odd)
         assert (fixed, report.status, report.pattern) == (word, "corrected", pat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_placements(16, 5), st.booleans(), st.booleans(), st.data())
+def test_codec_matches_bitwise_references(p, odd, triples, data):
+    """encode/inject/syndrome/decode against the bit-at-a-time parity
+    packing and syndrome fold, at every width, on words hit by random
+    patterns of up to five bits; every word they return is the one the
+    public constructor builds, with int bits."""
+    bits = data.draw(st.lists(st.sampled_from((0, 1, False, True, 0.0, 1.0)),
+                              min_size=p.d, max_size=p.d))
+    word = encode(bits, p, odd)
+    assert (word.data, word.parity) == oracles.encode(bits, p, odd)
+    members = data.draw(st.lists(st.integers(1, p.d + p.n), max_size=5, unique=True))
+    pat = ErrorPattern.of(data=[i for i in members if i <= p.d],
+                          parities=[i - p.d for i in members if i > p.d])
+    received = inject(word, pat)
+    assert (received.data, received.parity) == oracles.inject(word.data, word.parity, pat)
+    assert (syndrome(received, p, odd)
+            == oracles.syndrome(received.data, received.parity, p, odd))
+    fixed, report = decode(received, build_tables(p, triples), odd)
+    assert ((report.status, report.syndrome, report.pattern, fixed.bits)
+            == oracles.decode(received.bits, p, oracles.decode_table(p, triples), odd))
+    for w in (word, received, fixed):
+        public = Codeword(w.data, w.parity)
+        assert w == public and hash(w) == hash(public) and repr(w) == repr(public)
+        assert all(type(b) is int for b in w.bits)
+
+
+def test_byte_tables_round_trip_every_mask():
+    assert len(_BITS_MASK) == 511
+    for n in range(13):
+        for mask in range(1 << n):
+            bits = _bits(mask, n)
+            assert bits == tuple(oracles.parity_bits(mask, n))
+            if n <= 8:
+                assert _BITS_MASK[bits] == mask
+            if n >= 4:
+                assert syndrome(Codeword((), bits), Placement(n, ())) == mask
+
+
+@pytest.mark.parametrize("data,parity", [
+    ((True, False, 0), (0, 1.0, 0, 0, 0, 0, 0)),
+    ((1.0, 0.0, 0), (False, True, 0, 0, 0, 0, 0)),
+    ([1, 0, 0], [0, 1, 0, 0, 0, 0, 0]),
+], ids=["bool", "float", "list"])
+def test_codeword_stores_int_bits(refs, data, parity):
+    """Bits equal to 0 or 1 are stored as those ints, in tuples, so the word
+    prints one character per bit and its syndrome is the int word's."""
+    want = Codeword((1, 0, 0), (0, 1, 0, 0, 0, 0, 0))
+    word = Codeword(data, parity)
+    assert word == want
+    assert type(word.data) is tuple and type(word.parity) is tuple
+    assert all(type(b) is int for b in word.bits)
+    assert word.binary() == "1000100000" and word.hex() == want.hex()
+    p = refs["s447_433"]
+    assert syndrome(word, p) == syndrome(want, p)
+    assert inject(word, ErrorPattern.of(parities=(2,))).parity == (0,) * 7
+
+
+def test_codeword_fields_of_mixed_types_keep_their_type_error():
+    with pytest.raises(TypeError):
+        Codeword([1, 0, 0], (0,) * 7)
 
 
 ORACLE_CODES = {

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +57,14 @@ def test_first_order_sides_width4_square():
     sides = side_squares(x, 1, 4)
     assert set(sides) == {from_parities(ks) for ks in
                           ([2, 4], [1, 4], [1, 2], [1, 2, 3, 4])}
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_side_squares_match_full_scan(n):
+    rng = random.Random(n)
+    for code in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(20))}:
+        for order in (1, 2):
+            assert side_squares(code, order, n) == oracles.side_squares(code, order, n)
 
 
 def test_side_weights_adjacent_classes():

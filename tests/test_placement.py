@@ -149,6 +149,17 @@ def test_theorem1_precondition():
         theorem1_overlap(0, from_parities([1, 2, 3, 4, 5]), 7)
 
 
+def test_theorem1_checks_distance_then_each_code():
+    with pytest.raises(ValueError, match="distance exactly 4"):
+        theorem1_overlap(0, 31, 3)
+    with pytest.raises(ValueError, match="map width must be in"):
+        theorem1_overlap(0, 15, 3)
+    with pytest.raises(ValueError, match="code 240 does not fit a 7-bit map"):
+        theorem1_overlap(240, 255, 7)
+    with pytest.raises(ValueError, match="code 204 does not fit a 7-bit map"):
+        theorem1_overlap(15, 204, 7)
+
+
 def test_theorem2_exhaustive():
     for a in range(128):
         wa = weight(a)
