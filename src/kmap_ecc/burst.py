@@ -46,10 +46,6 @@ class Ordering:
     def data_positions(self) -> tuple[int, ...]:
         return tuple(i for i, (kind, _) in enumerate(self.symbols) if kind == "X")
 
-    @property
-    def data_assignment(self) -> tuple[int, ...]:
-        return tuple(idx for kind, idx in self.symbols if kind == "X")
-
     def check_complete(self, d: int, n: int) -> "Ordering":
         want = {("X", i) for i in range(1, d + 1)} | {("P", k) for k in range(1, n + 1)}
         if set(self.symbols) != want:

@@ -32,8 +32,9 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
 
-#: The most candidate tuples ``search --naive`` walks: n=7 with d <= 4
-#: (C(64, 4) = 635,376) fits, n=7 with d=5 (C(64, 5) = 7,624,512) does not.
+#: The most candidate tuples ``search --naive`` and ``bench`` walk: n=7 with
+#: d <= 4 (C(64, 4) = 635,376) fits, n=7 with d=5 (C(64, 5) = 7,624,512)
+#: does not.
 NAIVE_TUPLE_BUDGET = 1_000_000
 
 
@@ -94,17 +95,21 @@ def _emit_rows(rows, header, fmt) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_naive_budget(n: int, d: int) -> None:
+    # the walk visits every tuple when it finds nothing, whatever the limit
+    tuples = math.comb(len(_data_candidates(n)), d)
+    if tuples > NAIVE_TUPLE_BUDGET:
+        raise UsageError(f"naive search at --n {n} --d {d} would walk "
+                         f"{tuples:,} candidate tuples, over its budget of "
+                         f"{NAIVE_TUPLE_BUDGET:,}")
+
+
 def _cmd_search(args) -> int:
     stats = SearchStats()
     if args.naive:
         if args.sclass:
             raise UsageError("--naive and --class are mutually exclusive")
-        # the walk visits every tuple when it finds nothing, whatever --limit
-        tuples = math.comb(len(_data_candidates(args.n)), args.d)
-        if tuples > NAIVE_TUPLE_BUDGET:
-            raise UsageError(f"naive search at --n {args.n} --d {args.d} would walk "
-                             f"{tuples:,} candidate tuples, over its budget of "
-                             f"{NAIVE_TUPLE_BUDGET:,}")
+        _check_naive_budget(args.n, args.d)
         stream = naive_search(args.n, args.d, stats=stats)
     else:
         if args.d > MAX_GUIDED_D:
@@ -349,6 +354,7 @@ def _cmd_verify_theorems(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_naive_budget(args.n, args.d)
     results = []
     for name, search in (("guided", guided_search), ("naive", naive_search)):
         stats = SearchStats()

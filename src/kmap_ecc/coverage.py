@@ -7,12 +7,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .kcode import check_width, weight
+from .kcode import check_width, weight, _n_class
 from .placement import (ErrorPattern, Placement, SClass, guided_search,
-                        require_valid, _collides, _index_patterns, _pattern)
+                        require_valid, _collides, _data_candidates,
+                        _index_patterns, _pattern)
 from .codec import _covered_triples, _free_triples
 
 __all__ = [
@@ -178,17 +178,15 @@ def theorem4_check(n: int = 7) -> Theorem4Report:
     of weight 2..4 or a data pair at distance 3 exists, so a valid trio
     survives iff each data subset D of at most two bits has
     ``|D| + weight(XOR of D) >= 6``: weights >= 5, pairwise distance >= 4.
+    Such a trio is valid iff weight(a ^ b ^ c) >= 2.
     """
     check_width(n)
-    singles = [x for x in range(1, 1 << n) if not _collides((x,), n)]
-    heavy = [x for x in singles if not _collides((x,), n, 6)]
-    apart = {a: {b for b in heavy if not _collides((a, b), n, 6)} for a in heavy}
-    survivors = tuple(
-        (a, b, c) for a, b, c in combinations(heavy, 3)
-        if b in apart[a] and c in apart[a] and c in apart[b]
-        and not _collides((a, b, c), n))
-    return Theorem4Report(n, not survivors, len(singles),
-                          math.comb(len(singles), 3), survivors)
+    codes = list(range(1 << n))    # one int object per code, however many survivors
+    heavy = [x for x in codes if not _collides((x,), n, 6)]
+    walk = _triples(heavy, lambda a, b: not _collides((a, b), n, 6), 1, n)
+    survivors = tuple((a, b, codes[c]) for a, b, _thirds, far in walk for c in _members(far))
+    singles = len(_data_candidates(n))
+    return Theorem4Report(n, not survivors, singles, math.comb(singles, 3), survivors)
 
 
 # ---------------------------------------------------------------------------
@@ -310,31 +308,6 @@ def min_parity_search(n: int, pruned: bool = True) -> MinParityReport:
     return _unpruned_min_parity(n)
 
 
-def _pruned_min_parity(n: int) -> MinParityReport:
-    n5 = [x for x in range(1 << n) if weight(x) == 5]
-    neigh = {a: [b for b in n5 if b > a and (a ^ b).bit_count() >= 5] for a in n5}
-    pairs = sum(len(v) for v in neigh.values())
-    fails: Counter = Counter()
-    covering = 0
-    witness = None
-    triples = 0
-    for a in n5:
-        for b in neigh[a]:
-            bs = set(neigh[b])
-            for c in neigh[a]:
-                if c <= b or c not in bs:
-                    continue
-                triples += 1
-                r = _first_collision_kind((a, b, c), n)
-                if r is None:
-                    covering += 1
-                    witness = witness or (a, b, c)
-                else:
-                    fails["{}={}".format(*r)] += 1
-    return MinParityReport(n, True, len(n5), pairs, triples, covering,
-                           dict(sorted(fails.items())), witness)
-
-
 def _members(mask: int):
     """Set bits of an int bitset, ascending."""
     while mask:
@@ -343,43 +316,67 @@ def _members(mask: int):
         mask ^= low
 
 
-def _pair_masks(n: int) -> dict[int, int]:
-    """For every code at distance >= 7 on its own, ascending: the bitset of
-    the codes above it that keep distance >= 7 as a pair with it."""
-    singles = [x for x in range(1 << n) if not _collides((x,), n, 7)]
-    return {a: sum(1 << b for b in singles if b > a and not _collides((a, b), n, 7))
-            for a in singles}
+def _pair_masks(singles: Sequence[int], apart) -> dict[int, int]:
+    """Each single, ascending, to the bitset of the later singles b with
+    ``apart(a, b)``."""
+    return {a: sum(1 << b for b in singles if b > a and apart(a, b)) for a in singles}
 
 
-def _covering_walk(n: int, mask: dict[int, int]):
-    """Yield ``(a, b, thirds, covering)`` for every pair a < b of `mask`,
-    lexicographically.  `thirds` holds the c > b that pair with both a and
-    b; `covering` those of them with weight(a ^ b ^ c) >= 4, the last
-    condition of distance >= 7 for three data bits."""
-    ball = [sum(bits) for r in range(4)
-            for bits in combinations([1 << k for k in range(n)], r)]
-    everything = (1 << (1 << n)) - 1
-    far: dict[int, int] = {}
+def _triples(singles: Sequence[int], apart, radius: int, n: int):
+    """Yield ``(a, b, thirds, far)`` for every pair a < b of `singles` with
+    ``apart(a, b)``, lexicographically.  `thirds` is the bitset of the
+    c > b apart from both; `far` holds those of them with
+    weight(a ^ b ^ c) > `radius`."""
+    mask = _pair_masks(singles, apart)
+    ball = [t for r in range(radius + 1) for t in _n_class(r, n)]
+    outside: dict[int, int] = {}     # a ^ b -> the codes outside its ball
     for a, partners in mask.items():
         for b in _members(partners):
             thirds = partners & mask[b]
             x = a ^ b
-            if x not in far:
-                far[x] = everything ^ sum(1 << (x ^ t) for t in ball)
-            yield a, b, thirds, thirds & far[x]
+            if x not in outside:
+                outside[x] = ~sum(1 << (x ^ t) for t in ball)
+            yield a, b, thirds, thirds & outside[x]
+
+
+def _pruned_min_parity(n: int) -> MinParityReport:
+    n5 = _n_class(5, n)
+    fails: Counter = Counter()
+    pairs = triples = covering = 0
+    witness = None
+    # no condition on a ^ b ^ c: radius -1 leaves `far` equal to `thirds`
+    for a, b, thirds, _far in _triples(n5, lambda a, b: weight(a ^ b) >= 5, -1, n):
+        pairs += 1
+        for c in _members(thirds):
+            triples += 1
+            r = _first_collision_kind((a, b, c), n)
+            if r is None:
+                covering += 1
+                witness = witness or (a, b, c)
+            else:
+                fails["{}={}".format(*r)] += 1
+    return MinParityReport(n, True, len(n5), pairs, triples, covering,
+                           dict(sorted(fails.items())), witness)
+
+
+def _covering(n: int):
+    """The unpruned walk: codes at distance >= 7 on their own and in pairs,
+    and as `far` the thirds that keep distance >= 7 as a triple."""
+    singles = [x for x in range(1 << n) if not _collides((x,), n, 7)]
+    return singles, _triples(singles, lambda a, b: not _collides((a, b), n, 7), 3, n)
 
 
 def _unpruned_min_parity(n: int) -> MinParityReport:
-    mask = _pair_masks(n)
-    triples = covering = 0
+    singles, walk = _covering(n)
+    pairs = triples = covering = 0
     witness = None
-    for a, b, thirds, cover in _covering_walk(n, mask):
+    for a, b, thirds, cover in walk:
+        pairs += 1
         triples += thirds.bit_count()
         covering += cover.bit_count()
         if cover and witness is None:
             witness = (a, b, next(_members(cover)))
-    return MinParityReport(n, False, len(mask), sum(m.bit_count() for m in mask.values()),
-                           triples, covering, {}, witness)
+    return MinParityReport(n, False, len(singles), pairs, triples, covering, {}, witness)
 
 
 def full_coverage_search(n: int, limit: int = 1) -> list[Placement]:
@@ -387,7 +384,7 @@ def full_coverage_search(n: int, limit: int = 1) -> list[Placement]:
     in lexicographic order, for the widths :func:`min_parity_search` takes."""
     _check_min_parity_width(n)
     out = []
-    for a, b, _thirds, cover in _covering_walk(n, _pair_masks(n)):
+    for a, b, _thirds, cover in _covering(n)[1]:
         for c in _members(cover):
             if len(out) >= limit:
                 return out

@@ -213,12 +213,6 @@ class GrayLayout:
     def col_order(self) -> tuple[str, ...]:
         return self._axes[1].labels
 
-    def row_of(self, bits: str) -> int:
-        return gray_index(int(bits, 2))
-
-    def col_of(self, bits: str) -> int:
-        return gray_index(int(bits, 2))
-
     def to_json(self) -> dict:
         return {"n": self.n, "row_vars": list(self.row_vars), "col_vars": list(self.col_vars)}
 

@@ -44,6 +44,11 @@ class ErrorPattern:
     data: frozenset[int] = frozenset()
     parities: frozenset[int] = frozenset()
 
+    def __post_init__(self):
+        if min(self.data, default=1) < 1 or min(self.parities, default=1) < 1:
+            raise ValueError(f"pattern members are numbered from 1: data "
+                             f"{sorted(self.data)}, parities {sorted(self.parities)}")
+
     @classmethod
     def of(cls, data=(), parities=()) -> "ErrorPattern":
         return cls(frozenset(data), frozenset(parities))
@@ -211,10 +216,9 @@ class Footprint:
 
 @lru_cache(maxsize=None)
 def _offsets12(n: int) -> tuple[int, ...]:
-    """The n + C(n, 2) offsets of weight 1 or 2: x's side squares are x ^ t."""
-    check_width(n)
-    units = [1 << b for b in range(n)]
-    return tuple(units + [a ^ b for a, b in combinations(units, 2)])
+    """The n + C(n, 2) offsets of weight 1 or 2, the n units first: x's side
+    squares are x ^ t."""
+    return n_class(1, n) + n_class(2, n)
 
 
 @lru_cache(maxsize=8)

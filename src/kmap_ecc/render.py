@@ -7,7 +7,7 @@ import io
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .kcode import GrayLayout, default_layout
+from .kcode import GrayLayout, default_layout, gray_index
 from .placement import ErrorPattern, Placement, require_valid
 from .codec import _covered_triples
 
@@ -144,7 +144,7 @@ def grid_from_csv(text: str, layout: GrayLayout) -> MapGrid:
         if r is None or c is None:      # not labels the layout writes: read numbers
             if len(rowbits) != len(layout.row_vars) or len(colbits) != len(layout.col_vars):
                 raise ValueError(f"cell ({rowbits}, {colbits}) does not fit the layout")
-            r, c = layout.row_of(rowbits), layout.col_of(colbits)
+            r, c = gray_index(int(rowbits, 2)), gray_index(int(colbits, 2))
         cells[r, c] = label
     return MapGrid(layout, cells)
 

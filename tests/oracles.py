@@ -8,7 +8,9 @@ the bitwise Gray-grid position, the grouping <=2-bit map, the
 per-cell map renderer and the formatted grid CSV writer and reader the
 valid-placement fast path and the layout tables replaced, the
 bit-at-a-time parity packing and syndrome fold the codec's byte tables
-replaced, and side squares by a scan of every square of the map.
+replaced, side squares by a scan of every square of the map, and the
+set-based theorem 4 check, list-based pruned min-parity sweep and covering
+walk the one bitset triple walk replaced.
 
 Each syndrome oracle lists error patterns and their syndromes outright,
 so it shares no reasoning with :func:`kmap_ecc.placement._collides` beyond
@@ -17,9 +19,12 @@ the codes of the parity bits.
 
 import csv
 import io
+import math
+from collections import Counter
 from itertools import combinations
 
-from kmap_ecc.placement import ErrorPattern
+from kmap_ecc.coverage import MinParityReport, Theorem4Report, _first_collision_kind
+from kmap_ecc.placement import ErrorPattern, Placement, _collides
 
 
 def collides(data, n):
@@ -361,3 +366,103 @@ def syndrome(data, parity, p, odd_parity):
     for k, b in enumerate(parity):
         s ^= b << k
     return s
+
+
+def offsets12(n):
+    """The n unit offsets, then the C(n, 2) offsets of weight 2."""
+    units = [1 << b for b in range(n)]
+    return tuple(units + [a ^ b for a, b in combinations(units, 2)])
+
+
+def theorem4_check(n):
+    """The theorem 4 report from sets of partners over `combinations`."""
+    singles = [x for x in range(1, 1 << n) if not _collides((x,), n)]
+    heavy = [x for x in singles if not _collides((x,), n, 6)]
+    apart = {a: {b for b in heavy if not _collides((a, b), n, 6)} for a in heavy}
+    survivors = tuple(
+        (a, b, c) for a, b, c in combinations(heavy, 3)
+        if b in apart[a] and c in apart[a] and c in apart[b]
+        and not _collides((a, b, c), n))
+    return Theorem4Report(n, not survivors, len(singles),
+                          math.comb(len(singles), 3), survivors)
+
+
+def pruned_min_parity(n):
+    """The pruned min-parity report from neighbour lists and a set probe."""
+    n5 = [x for x in range(1 << n) if x.bit_count() == 5]
+    neigh = {a: [b for b in n5 if b > a and (a ^ b).bit_count() >= 5] for a in n5}
+    fails = Counter()
+    covering = triples = 0
+    witness = None
+    for a in n5:
+        for b in neigh[a]:
+            bs = set(neigh[b])
+            for c in neigh[a]:
+                if c <= b or c not in bs:
+                    continue
+                triples += 1
+                r = _first_collision_kind((a, b, c), n)
+                if r is None:
+                    covering += 1
+                    witness = witness or (a, b, c)
+                else:
+                    fails["{}={}".format(*r)] += 1
+    return MinParityReport(n, True, len(n5), sum(len(v) for v in neigh.values()),
+                           triples, covering, dict(sorted(fails.items())), witness)
+
+
+def _members(mask):
+    """Set bits of an int bitset, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _covering_walk(n):
+    """(mask, walk): each code at distance >= 7 on its own to the bitset
+    of the later codes it keeps distance >= 7 with, and every such pair
+    a < b with its `thirds` and the `covering` thirds c, whose
+    weight(a ^ b ^ c) >= 4, lexicographically."""
+    singles = [x for x in range(1 << n) if not _collides((x,), n, 7)]
+    mask = {a: sum(1 << b for b in singles if b > a and not _collides((a, b), n, 7))
+            for a in singles}
+    ball = [sum(bits) for r in range(4)
+            for bits in combinations([1 << k for k in range(n)], r)]
+    everything = (1 << (1 << n)) - 1
+
+    def walk():
+        far = {}
+        for a, partners in mask.items():
+            for b in _members(partners):
+                thirds = partners & mask[b]
+                x = a ^ b
+                if x not in far:
+                    far[x] = everything ^ sum(1 << (x ^ t) for t in ball)
+                yield a, b, thirds, thirds & far[x]
+    return mask, walk()
+
+
+def unpruned_min_parity(n):
+    """The unpruned min-parity report from the covering walk."""
+    mask, walk = _covering_walk(n)
+    triples = covering = 0
+    witness = None
+    for a, b, thirds, cover in walk:
+        triples += thirds.bit_count()
+        covering += cover.bit_count()
+        if cover and witness is None:
+            witness = (a, b, next(_members(cover)))
+    return MinParityReport(n, False, len(mask), sum(m.bit_count() for m in mask.values()),
+                           triples, covering, {}, witness)
+
+
+def full_coverage_search(n, limit):
+    """The first `limit` covering placements of the covering walk."""
+    out = []
+    for a, b, _thirds, cover in _covering_walk(n)[1]:
+        for c in _members(cover):
+            if len(out) >= limit:
+                return out
+            out.append(Placement(n, (a, b, c)))
+    return out

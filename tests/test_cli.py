@@ -186,6 +186,14 @@ def test_naive_search_over_budget_is_usage_error(capsys, n, d):
     assert "usage error" in err and "budget" in err
 
 
+@pytest.mark.parametrize("n,d", [("12", "4"), ("8", "4"), ("16", "2")])
+def test_bench_over_naive_budget_is_usage_error(capsys, n, d):
+    code, out, err = run_cli(capsys, "bench", "--n", n, "--d", d, "--k", "1")
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "budget" in err
+
+
 def test_naive_search_budget_admits_width_7_up_to_4_bits(capsys):
     code, out, err = run_cli(capsys, "search", "--naive", "--d", "4", "--limit", "1")
     assert code == 0

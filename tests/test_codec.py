@@ -71,6 +71,18 @@ def test_encode_and_decode_keep_their_errors(refs):
             call()
 
 
+@pytest.mark.parametrize("n,pattern,past", [
+    (7, ErrorPattern.of(data=(4,)), "X_4"),
+    (7, ErrorPattern.of(parities=(8,)), "P_8"),
+    (7, ErrorPattern.of(data=(1, 5), parities=(2, 9)), "X_5, P_9"),
+    (10, ErrorPattern.of(parities=(11,)), "P_11"),
+])
+def test_inject_rejects_members_past_the_word(n, pattern, past):
+    p = Placement(n, (15, 51, 85))
+    with pytest.raises(ValueError, match=f"names {past}, past a word of 3 data and {n} parity"):
+        inject(encode([0, 0, 0], p), pattern)
+
+
 def test_data_flip_yields_that_mask(refs):
     p = refs["s445_433"]
     for i in range(3):

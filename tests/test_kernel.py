@@ -2,12 +2,16 @@
 
 `_collides`, `_first_collision_kind`, `theorem4_check` and the unpruned
 min-parity walk all decide syndrome collisions from data subsets alone;
-`oracles` lists every pattern and its syndrome instead.
+`oracles` lists every pattern and its syndrome instead.  The one bitset
+triple walk behind theorem 4, both min-parity modes and the full-coverage
+search is also checked against the set-, list- and covering-walk
+references it replaced.
 """
 
 import math
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -125,3 +129,19 @@ def test_full_coverage_search_is_the_lexicographic_prefix():
     for k in (1, 7, 40):
         assert [p.data for p in full_coverage_search(10, limit=k)] == expected[:k]
     assert full_coverage_search(9, limit=5) == []
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_theorem4_matches_set_reference(n):
+    assert theorem4_check(n) == oracles.theorem4_check(n)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_min_parity_matches_list_and_covering_references(n):
+    assert min_parity_search(n).to_json() == oracles.pruned_min_parity(n).to_json()
+    assert (min_parity_search(n, pruned=False).to_json()
+            == oracles.unpruned_min_parity(n).to_json())
+
+
+def test_full_coverage_search_matches_covering_reference():
+    assert full_coverage_search(10, limit=200) == oracles.full_coverage_search(10, 200)

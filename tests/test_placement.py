@@ -22,7 +22,7 @@ from kmap_ecc.placement import (BLESSED_PAIR_SITUATIONS, ErrorPattern,
                                 guided_search, is_valid, naive_search,
                                 occupied_map, parity_footprint, permute_bits,
                                 reference_placements, theorem1_overlap,
-                                theorem2_overlap, triple_classes)
+                                theorem2_overlap, triple_classes, _offsets12)
 
 W4PLUS = [x for x in range(128) if weight(x) >= 4]
 
@@ -46,6 +46,20 @@ def test_pattern_parse_round_trip():
     assert ErrorPattern.parse("X1P7").label == "X_1P_7"
     with pytest.raises(ValueError):
         ErrorPattern.parse("X_1Y_2")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ErrorPattern.of(data=(0,)),
+    lambda: ErrorPattern.of(parities=(0,)),
+    lambda: ErrorPattern.of(data=(1,), parities=(-2,)),
+    lambda: ErrorPattern.parse("P_0"),
+    lambda: ErrorPattern.parse("X_0P_1"),
+    lambda: ErrorPattern(frozenset({-1})),
+], ids=["of-data-0", "of-parity-0", "of-parity-negative", "parse-P_0", "parse-X_0",
+        "constructor-negative"])
+def test_pattern_members_below_1_are_rejected(make):
+    with pytest.raises(ValueError, match="numbered from 1"):
+        make()
 
 
 # --- occupied map / validity ---
@@ -88,6 +102,14 @@ def test_reference_placements_valid(refs):
 
 
 # --- footprints and double-weight counts ---
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_offsets12_match_combinations_build(n):
+    offsets, reference = _offsets12(n), oracles.offsets12(n)
+    assert len(offsets) == len(set(offsets)) == len(reference)
+    assert set(offsets) == set(reference)
+    assert offsets[:n] == reference[:n]     # the units, which parity_footprint slices
+
 
 def test_parity_footprint_is_low_weight_region():
     for n in (4, 7, 12, 16):
