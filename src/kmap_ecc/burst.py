@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from .coverage import CoverageReport
+from .coverage import CoverageReport, _members
 from .placement import ErrorPattern
 
 __all__ = ["Ordering", "burst_triples", "is_burst_safe", "failing_window",
            "BurstGroup", "BurstCensus", "search_orderings"]
 
 BURST_LENGTH = 3
+
+#: Most states the ordering search may memoize (the first n=9 map needs 94,326).
+BURST_STATE_BUDGET = 100_000
 
 _SYM = re.compile(r"([XP])_?(\d+)$")
 
@@ -120,52 +123,47 @@ def _allowed_thirds(report: CoverageReport) -> tuple[int, list[int]]:
     return m, allowed
 
 
-def _walk(m: int, allowed: list[int]) -> list[tuple[int, ...]]:
-    """Every ordering of 0..m-1 whose windows of three are all allowed, in
-    lexicographic order: a DFS on the last two bits and the unused ones."""
-    out: list[tuple[int, ...]] = []
-    path = [0] * m
+def _census(m: int, allowed: list[int], d: int) -> tuple:
+    """The orderings of 0..m-1 whose windows of three are all allowed, as
+    (key, (count, least ordering)) per data key, the (position, bit) pairs
+    of the bits below d.  A memoized DFS on the last two bits and the unused
+    ones, which fix the depth; the start (0, 0, all) allows any first two."""
+    memo: dict[int, tuple] = {}
 
-    def extend(depth: int, a: int, b: int, remaining: int) -> None:
-        if not remaining:
-            out.append(tuple(path))
-            return
-        cand = remaining & allowed[a * m + b]
-        while cand:
-            low = cand & -cand
-            path[depth] = c = low.bit_length() - 1
-            extend(depth + 1, b, c, remaining ^ low)
-            cand ^= low
+    def walk(a: int, b: int, unused: int) -> tuple:
+        if not unused:
+            return (((), (1, ())),)
+        state = (a * m + b) << m | unused
+        if state not in memo:
+            if len(memo) >= BURST_STATE_BUDGET:
+                raise ValueError(f"burst search over {m} code bits would walk more "
+                                 f"than its budget of {BURST_STATE_BUDGET:,} states")
+            depth = m - unused.bit_count()
+            out: dict[tuple, tuple] = {}
+            for c in _members(unused & allowed[a * m + b] if depth > 1 else unused):
+                for key, (count, rest) in walk(b, c, unused ^ 1 << c):
+                    key = ((depth, c),) + key if c < d else key
+                    e = out.get(key)
+                    out[key] = (count, (c,) + rest) if e is None else (e[0] + count, e[1])
+            memo[state] = tuple(out.items())
+        return memo[state]
 
-    full = (1 << m) - 1
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                path[0], path[1] = a, b
-                extend(2, a, b, full ^ (1 << a) ^ (1 << b))
-    return out
+    try:
+        return walk(0, 0, (1 << m) - 1)
+    finally:
+        memo.clear()  # walk's closure is a cycle that would hold the states
 
 
 def search_orderings(report: CoverageReport, threads: int = 1) -> BurstCensus:
-    """Exhaustive search over all (d+n)! orderings with prefix pruning,
-    grouped by (shape, data-identity assignment).
-
-    ``threads`` is accepted for compatibility and changes nothing: the walk
-    runs in this process.
-    """
+    """Every burst-safe ordering, counted per (shape, data-identity
+    assignment) group, each represented by its least ordering.  Raises
+    ValueError when the walk would pass ``BURST_STATE_BUDGET`` states.
+    ``threads`` is accepted for compatibility and changes nothing."""
     p = report.placement
     symbols = ([("X", i) for i in range(1, p.d + 1)]
                + [("P", k) for k in range(1, p.n + 1)])
-    survivors = _walk(*_allowed_thirds(report))
-    grouped: dict[tuple, list] = {}
-    for path in survivors:
-        shape = tuple(pos for pos, i in enumerate(path) if i < p.d)
-        assignment = tuple(path[pos] + 1 for pos in shape)
-        grouped.setdefault((shape, assignment), []).append(path)
-    groups = []
-    for (shape, assignment), paths in sorted(grouped.items()):
-        # Paths of one group differ only where both hold parity bits, so the
-        # walk's first path is also the least by symbols.
-        rep = Ordering(tuple(symbols[i] for i in paths[0]))
-        groups.append(BurstGroup(shape, assignment, len(paths), rep))
-    return BurstCensus(p.to_json(), len(survivors), tuple(groups))
+    groups = [BurstGroup(tuple(pos for pos, _ in key), tuple(i + 1 for _, i in key),
+                         count, Ordering(tuple(symbols[i] for i in first)))
+              for key, (count, first) in _census(*_allowed_thirds(report), p.d)]
+    groups.sort(key=lambda g: (g.shape, g.assignment))
+    return BurstCensus(p.to_json(), sum(g.count for g in groups), tuple(groups))

@@ -115,8 +115,11 @@ def _cmd_search(args) -> int:
         if args.d > MAX_GUIDED_D:
             raise UsageError(f"guided search places 1 to {MAX_GUIDED_D} data bits "
                              f"(--naive places any number), got --d {args.d}")
-        cls = SClass.parse(args.sclass) if args.sclass else None
-        stream = guided_search(args.n, args.d, sclass=cls, stats=stats)
+        try:
+            cls = SClass.parse(args.sclass) if args.sclass else None
+            stream = guided_search(args.n, args.d, sclass=cls, stats=stats)
+        except ValueError as e:
+            raise UsageError(str(e)) from e
     emitted = 0
     for p in stream:
         record = {"n": p.n, "data": list(p.data)}
@@ -232,7 +235,10 @@ def _cmd_coverage_minparity(args) -> int:
 
 def _cmd_burst_search(args) -> int:
     report = _three_bit_report(args.placement)
-    census = burst_mod.search_orderings(report, threads=args.threads)
+    try:
+        census = burst_mod.search_orderings(report, threads=args.threads)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     _emit_json(census.to_json())
     return EXIT_OK
 

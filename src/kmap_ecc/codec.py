@@ -138,18 +138,8 @@ def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
             for k in pattern.parities:
                 parity[k - 1] ^= 1
     except IndexError:
-        raise _past_the_word(word, pattern) from None
+        raise pattern._past(len(word.data), len(word.parity), "word") from None
     return _word(tuple(data), tuple(parity))
-
-
-def _past_the_word(word: Codeword, pattern: ErrorPattern) -> ValueError:
-    # apart from inject: a comprehension there makes `word` a closure cell,
-    # which costs every call about 3%
-    d, n = len(word.data), len(word.parity)
-    past = [f"X_{i}" for i in sorted(pattern.data) if i > d]
-    past += [f"P_{k}" for k in sorted(pattern.parities) if k > n]
-    return ValueError(f"pattern {pattern.label} names {', '.join(past)}, "
-                      f"past a word of {d} data and {n} parity bits")
 
 
 def iter_patterns(p: Placement, sizes: Sequence[int] = (1, 2)) -> Iterator[ErrorPattern]:

@@ -8,7 +8,6 @@ codes from maps of different widths must never be mixed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -83,54 +82,6 @@ def side_squares(code: int, order: int, n: int) -> tuple[int, ...]:
     if order not in (1, 2):
         raise ValueError(f"side-square order must be 1 or 2, got {order}")
     return tuple(sorted([code ^ t for t in _n_class(order, n)]))
-
-
-# ---------------------------------------------------------------------------
-# text and JSON forms
-# ---------------------------------------------------------------------------
-
-_SET_TOKEN = re.compile(r"P_?(\d+)")
-
-
-def set_label(code: int) -> str:
-    """Set notation, e.g. 90 -> "P2+P4+P6+P7"; the zero square is "0"."""
-    if code == 0:
-        return "0"
-    return "+".join(f"P{k}" for k in parities(code))
-
-
-def parse_set_label(label: str) -> int:
-    label = label.strip()
-    if label == "0":
-        return 0
-    toks = _SET_TOKEN.findall(label)
-    if not toks or "+".join(f"P{t}" for t in toks) != label.replace("_", ""):
-        raise ValueError(f"not a K-code set label: {label!r}")
-    return from_parities(int(t) for t in toks)
-
-
-def binary_label(code: int, n: int) -> str:
-    """Bit string b_n..b_1 (highest parity first)."""
-    check_code(code, n)
-    return format(code, f"0{n}b")
-
-
-def parse_binary_label(label: str) -> tuple[int, int]:
-    """Returns (code, width)."""
-    if not label or set(label) - {"0", "1"}:
-        raise ValueError(f"not a binary K-code label: {label!r}")
-    return int(label, 2), len(label)
-
-
-def code_to_json(code: int, n: int) -> dict:
-    check_code(code, n)
-    return {"code": code, "n": n}
-
-
-def code_from_json(obj: dict) -> tuple[int, int]:
-    code, n = int(obj["code"]), int(obj["n"])
-    check_code(code, n)
-    return code, n
 
 
 # ---------------------------------------------------------------------------

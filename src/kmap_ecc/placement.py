@@ -91,12 +91,23 @@ class ErrorPattern:
         return (tuple(sorted(self.data)), tuple(sorted(self.parities)))
 
     def syndrome(self, placement: "Placement") -> int:
+        d, n = placement.d, placement.n
+        if max(self.data, default=0) > d or max(self.parities, default=0) > n:
+            raise self._past(d, n, "placement")
         s = 0
         for i in self.data:
             s ^= placement.data[i - 1]
         for k in self.parities:
             s ^= parity_code(k)
         return s
+
+    def _past(self, d: int, n: int, what: str) -> ValueError:
+        """The error for a pattern with members past `what` of d data and n
+        parity bits."""
+        past = [f"X_{i}" for i in sorted(self.data) if i > d]
+        past += [f"P_{k}" for k in sorted(self.parities) if k > n]
+        return ValueError(f"pattern {self.label} names {', '.join(past)}, "
+                          f"past a {what} of {d} data and {n} parity bits")
 
 
 # ---------------------------------------------------------------------------
@@ -539,16 +550,19 @@ def guided_search(
     Every emitted placement passes :func:`is_valid`; emission order is
     deterministic.  Passing `sclass` pins the first three data bits to that
     descriptor (blessed or not), which is how census representatives for
-    arbitrary classes are found.
+    arbitrary classes are found.  The arguments are checked at the call.
     """
     check_width(n)
     if not 1 <= d <= MAX_GUIDED_D:
         raise ValueError(f"guided search places 1 to {MAX_GUIDED_D} data bits, got {d}")
-    stats = stats if stats is not None else SearchStats()
+    if sclass is not None and len(sclass.weights) != min(d, 3):
+        raise ValueError(f"class {sclass.label} does not describe {d} data bits")
+    return _guided_search(n, d, sclass, stats if stats is not None else SearchStats())
 
+
+def _guided_search(n: int, d: int, sclass: SClass | None,
+                   stats: SearchStats) -> Iterator[Placement]:
     if sclass is not None:
-        if len(sclass.weights) != min(d, 3):
-            raise ValueError(f"class {sclass.label} does not describe {d} data bits")
         yield from _class_pinned_search(n, d, sclass, stats)
         return
 

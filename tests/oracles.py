@@ -1,7 +1,8 @@
 """Brute-force syndrome oracles: the pattern enumerators the distance
 kernel replaced, kept as the reference the kernel is checked against, the
-pattern-level burst-ordering search the bitset walk replaced, and the
-frozenset pattern enumerator and triple-coverage rules the code-bit index
+pattern-level burst-ordering search the bitset walk replaced, the
+index-bitset ordering walk and grouping pass the memoized census replaced,
+and the frozenset pattern enumerator and triple-coverage rules the code-bit index
 walk replaced, a table decoder over received words as bit tuples, the
 candidate-by-candidate X_3 walk the class-pinned guided search replaced,
 the bitwise Gray-grid position, the grouping <=2-bit map, the
@@ -23,6 +24,7 @@ import math
 from collections import Counter
 from itertools import combinations
 
+from kmap_ecc.burst import BurstCensus, BurstGroup, Ordering, _allowed_thirds
 from kmap_ecc.coverage import MinParityReport, Theorem4Report, _first_collision_kind
 from kmap_ecc.placement import ErrorPattern, Placement, _collides
 
@@ -245,6 +247,51 @@ def burst_census_json(report):
                         "count": len(members),
                         "representative": ",".join(f"{k}{i}" for k, i in min(members))}
                        for (shape, assignment), members in sorted(groups.items())]}
+
+
+def index_walk(m, allowed):
+    """Every ordering of 0..m-1 whose windows of three are all allowed, in
+    lexicographic order: a DFS on the last two bits and the unused ones."""
+    out = []
+    path = [0] * m
+
+    def extend(depth, a, b, remaining):
+        if not remaining:
+            out.append(tuple(path))
+            return
+        cand = remaining & allowed[a * m + b]
+        while cand:
+            low = cand & -cand
+            path[depth] = c = low.bit_length() - 1
+            extend(depth + 1, b, c, remaining ^ low)
+            cand ^= low
+
+    full = (1 << m) - 1
+    for a in range(m):
+        for b in range(m):
+            if a != b:
+                path[0], path[1] = a, b
+                extend(2, a, b, full ^ (1 << a) ^ (1 << b))
+    return out
+
+
+def burst_census_index(report):
+    """The burst search's BurstCensus from every ordering the index walk
+    lists over the code-bit bitsets, grouped in a second pass by (shape,
+    assignment); each group's first listed path is its representative."""
+    p = report.placement
+    symbols = ([("X", i) for i in range(1, p.d + 1)]
+               + [("P", k) for k in range(1, p.n + 1)])
+    survivors = index_walk(*_allowed_thirds(report))
+    grouped = {}
+    for path in survivors:
+        shape = tuple(pos for pos, i in enumerate(path) if i < p.d)
+        assignment = tuple(path[pos] + 1 for pos in shape)
+        grouped.setdefault((shape, assignment), []).append(path)
+    groups = tuple(BurstGroup(shape, assignment, len(paths),
+                              Ordering(tuple(symbols[i] for i in paths[0])))
+                   for (shape, assignment), paths in sorted(grouped.items()))
+    return BurstCensus(p.to_json(), len(survivors), groups)
 
 
 def double_weight_count(candidate, priors, n):

@@ -1,15 +1,16 @@
 """Burst-safe transmission orderings, mostly for the 10-bit reference map."""
 
+import json
 import multiprocessing
 import random
 
 import pytest
 
 import oracles
-from kmap_ecc.burst import (Ordering, burst_triples, failing_window,
-                            is_burst_safe, search_orderings)
-from kmap_ecc.coverage import census, three_bit_coverage
-from kmap_ecc.placement import Placement, guided_search, permute_bits
+from kmap_ecc.burst import (BURST_STATE_BUDGET, Ordering, burst_triples,
+                            failing_window, is_burst_safe, search_orderings)
+from kmap_ecc.coverage import CENSUS_FAMILIES, census, three_bit_coverage
+from kmap_ecc.placement import Placement, SClass, guided_search, permute_bits
 
 QUOTED = (
     "X1,P7,P3,P6,X3,P2,P4,P1,P5,X2",
@@ -116,17 +117,29 @@ def test_census_threads_deterministic(ref447_report):
 ORACLE_MAPS = ((106, 86, 127), (106, 86, 79), (15, 51, 85), (15, 55, 83), (15, 51, 117))
 
 
+def _agrees_with_index_walk(report):
+    got = search_orderings(report)
+    assert json.dumps(got.to_json()) == json.dumps(oracles.burst_census_index(report).to_json())
+    return got
+
+
 @pytest.mark.parametrize("data", ORACLE_MAPS, ids=str)
 def test_search_matches_pattern_oracle(data):
     report = three_bit_coverage(Placement(7, data))
-    assert search_orderings(report).to_json() == oracles.burst_census_json(report)
+    assert _agrees_with_index_walk(report).to_json() == oracles.burst_census_json(report)
+
+
+@pytest.mark.parametrize("label", [lab for fam in CENSUS_FAMILIES for lab in fam])
+def test_census_representatives_match_index_walk(label):
+    p = next(guided_search(7, 3, sclass=SClass.parse(label)))
+    _agrees_with_index_walk(three_bit_coverage(p))
 
 
 def test_census_at_width_8():
     p = next(guided_search(8, 3))
     assert p.data == (15, 51, 85)
     report = three_bit_coverage(p)
-    cs = search_orderings(report)
+    cs = _agrees_with_index_walk(report)
     assert (cs.total, len(cs.groups)) == (24384, 954)
     by_shape = {}
     for g in cs.groups:
@@ -136,9 +149,24 @@ def test_census_at_width_8():
         assert by_shape.get(tuple(sorted(10 - pos for pos in shape))) == count
 
 
+def test_census_at_width_9():
+    # the index walk lists all 1,825,920 orderings, too slow to compare here
+    p = next(guided_search(9, 3))
+    assert p.data == (15, 51, 85)
+    cs = search_orderings(three_bit_coverage(p))
+    assert (cs.total, len(cs.groups)) == (1825920, 1320)
+
+
 def test_search_and_census_start_no_process(monkeypatch, ref447_report):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert search_orderings(ref447_report, 4).total == 640
     assert census(7, threads=4) == census(7)
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_search_over_state_budget_is_refused(n):
+    report = three_bit_coverage(next(guided_search(n, 3)))
+    with pytest.raises(ValueError, match=f"budget of {BURST_STATE_BUDGET:,} states"):
+        search_orderings(report)

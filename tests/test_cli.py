@@ -49,6 +49,16 @@ def test_search_class_pin(capsys):
     assert rec["class"] == "S_447^433"
 
 
+@pytest.mark.parametrize("argv", [("--d", "3", "--class", "garbage"),
+                                  ("--d", "3", "--class", "S_447^43"),
+                                  ("--class", "S_44^4", "--d", "3")], ids=lambda a: " ".join(a))
+def test_search_bad_class_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "search", *argv, "--limit", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
 def test_validate_ok_and_invalid(capsys, placement_files):
     code, out, _ = run_cli(capsys, "validate", "--placement", placement_files["s445_433"])
     assert code == 0 and json.loads(out)["valid"] is True
@@ -231,6 +241,15 @@ def test_burst_check_and_search(capsys, placement_files):
     assert code == 2
     rec = json.loads(out)
     assert rec["failing_window"] == 0 and rec["failing_pattern"] == "X_1X_2X_3"
+
+
+def test_burst_search_over_state_budget_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "first_n12.json"
+    path.write_text(json.dumps(Placement(12, (15, 51, 85)).to_json()))
+    code, out, err = run_cli(capsys, "burst", "search", "--placement", str(path))
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "budget of 100,000 states" in err
 
 
 def test_render_formats(capsys, placement_files):

@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from kmap_ecc.kcode import (GrayLayout, binary_label, code_from_json,
-                            code_to_json, default_layout, distance,
-                            from_parities, gray, gray_index, n_class,
-                            parities, parity_code, parse_binary_label,
-                            parse_set_label, set_label, side_squares, weight)
+from kmap_ecc.kcode import (GrayLayout, default_layout, distance, from_parities,
+                            gray, gray_index, n_class, parities, parity_code,
+                            side_squares, weight)
 
 
 def test_weight_basics():
@@ -102,28 +100,6 @@ def test_algebra_properties(n, data):
     assert a ^ b == b ^ a
     assert a ^ a == 0
     assert distance(a, b, n) == distance(b, a, n) == weight(a ^ b)
-
-
-# --- labels and JSON ---
-
-def test_set_label_round_trip():
-    code = from_parities([2, 4, 6, 7])
-    assert set_label(code) == "P2+P4+P6+P7"
-    assert parse_set_label("P2+P4+P6+P7") == code
-    assert parse_set_label("0") == 0
-    with pytest.raises(ValueError):
-        parse_set_label("Q1+P2")
-
-
-def test_binary_label_round_trip():
-    code = from_parities([2, 4, 6, 7])
-    assert binary_label(code, 7) == "1101010"
-    assert parse_binary_label("1101010") == (code, 7)
-
-
-def test_json_round_trip():
-    code = from_parities([1, 5])
-    assert code_from_json(code_to_json(code, 7)) == (code, 7)
 
 
 def test_parities_round_trip():

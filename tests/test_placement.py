@@ -62,6 +62,16 @@ def test_pattern_members_below_1_are_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("pattern,past", [
+    (ErrorPattern.of(parities=(9,)), "P_9"),
+    (ErrorPattern.of(data=(4,)), "X_4"),
+    (ErrorPattern.of(data=(1, 5), parities=(2, 8)), "X_5, P_8"),
+])
+def test_pattern_syndrome_rejects_members_past_the_placement(refs, pattern, past):
+    with pytest.raises(ValueError, match=f"names {past}, past a placement of 3 data and 7 parity"):
+        pattern.syndrome(refs["s447_433"])
+
+
 # --- occupied map / validity ---
 
 def test_parity_only_map_occupies_29_squares():
@@ -245,6 +255,13 @@ def test_guided_emits_valid_4_data_placement():
 def test_guided_refuses_data_counts_it_does_not_place(n, d):
     with pytest.raises(ValueError, match="1 to 4 data bits"):
         next(guided_search(n, d))
+
+
+@pytest.mark.parametrize("args", [(3, 3), (7, 5), (7, 3, SClass.parse("S_44^4")),
+                                  (7, 2, SClass.parse("S_447^433"))], ids=str)
+def test_guided_checks_its_arguments_at_the_call(args):
+    with pytest.raises(ValueError):
+        guided_search(*args)
 
 
 def _stream_pin(stream):
