@@ -412,7 +412,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check a placement file")
     p.add_argument("--placement", required=True)
-    fmt(p)
+    fmt(p, choices=("json", "text"))
     p.set_defaults(fn=_cmd_validate)
 
     codec = sub.add_parser("codec", help="build tables, encode, decode")
@@ -448,7 +448,8 @@ def build_parser() -> _Parser:
     fmt(p, default="csv")
     p.set_defaults(fn=_cmd_coverage_census)
     p = vsub.add_parser("theorem4")
-    p.add_argument("--n", type=_WIDTH, default=7)
+    p.add_argument("--n", default=7,
+                   type=_int_in(MIN_WIDTH, coverage_mod.MAX_THEOREM4_WIDTH, " for theorem4"))
     p.set_defaults(fn=_cmd_coverage_theorem4)
     p = vsub.add_parser("minparity")
     p.add_argument("--n", required=True,

@@ -6,10 +6,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .kcode import check_width, weight, _n_class
+from .kcode import check_width, _n_class
 from .placement import (ErrorPattern, Placement, SClass, guided_search,
                         require_valid, _collides, _data_candidates,
                         _index_patterns, _pattern)
@@ -23,6 +22,11 @@ __all__ = [
 ]
 
 CLASS_KEYS = ("XXP", "PPP", "XPP", "XXX")
+
+#: The widest maps the exhaustive walks take.  Theorem 4 holds every
+#: survivor: 821,520 at n=9, 21 M at n=10.
+MAX_THEOREM4_WIDTH = 9
+MAX_MIN_PARITY_WIDTH = 12
 
 
 #: The class key of a triple, indexed by its number of data members.
@@ -181,6 +185,8 @@ def theorem4_check(n: int = 7) -> Theorem4Report:
     Such a trio is valid iff weight(a ^ b ^ c) >= 2.
     """
     check_width(n)
+    if n > MAX_THEOREM4_WIDTH:
+        raise ValueError(f"theorem 4 check supports widths 4..{MAX_THEOREM4_WIDTH}")
     codes = list(range(1 << n))    # one int object per code, however many survivors
     heavy = [x for x in codes if not _collides((x,), n, 6)]
     walk = _triples(heavy, lambda a, b: not _collides((a, b), n, 6), 1, n)
@@ -192,66 +198,6 @@ def theorem4_check(n: int = 7) -> Theorem4Report:
 # ---------------------------------------------------------------------------
 # minimum-parity feasibility
 # ---------------------------------------------------------------------------
-
-def _kind(xs: int, size: int) -> str:
-    """Kind of a pattern of `size` members, `xs` of them data bits."""
-    return "X" * xs + "P" * (size - xs) if size else "zero"
-
-
-@lru_cache(maxsize=1 << 12)
-def _parity_members(s: int, d: int) -> tuple[int, ...]:
-    """Code-bit indices d + k of the parity bits P_{k+1} set in syndrome `s`."""
-    return tuple(d + k for k in range(s.bit_length()) if s >> k & 1)
-
-
-@lru_cache(maxsize=16)
-def _subset_walk(d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The nonempty subsets of at most six of d data bits, each adding one
-    index i to an earlier subset: (position of that subset, with 0 the
-    empty one, i, the subset's index tuple)."""
-    walk = []
-    subsets = [()]
-    for i in range(d):
-        grown = [(pos, idx + (i,)) for pos, idx in enumerate(subsets) if len(idx) < 6]
-        walk += [(pos, i, idx) for pos, idx in grown]
-        subsets += [idx for _pos, idx in grown]
-    return tuple(walk)
-
-
-def _first_collision_kind(data, n: int) -> tuple[str, str] | None:
-    """None when every <=3-bit pattern owns a distinct syndrome, else the
-    kinds of the first colliding pattern pair, e.g. ("XXP", "XPP").
-
-    "First" is in the order patterns are listed: by size, then by index
-    over X_1..X_d, P_1..P_n; the later pattern is named first.  Two
-    patterns collide iff their symmetric difference is a nonzero codeword,
-    here a data subset D plus the parities of XOR D, of weight w <= 6 (the
-    walk of :func:`kmap_ecc.placement._collides` at bound 7).  The earliest
-    collision splits one such codeword as evenly as possible: the later
-    pattern is the first ceil(w/2) members of the codeword (after its least
-    member when w is even) and the earlier pattern is the rest.  The
-    codeword lists D's indices before its parities, so each pattern's kind
-    follows from how many of D's indices it takes.
-    """
-    d = len(data)
-    sums = [0]
-    best = None
-    for pos, i, idx in _subset_walk(d):
-        s = sums[pos] ^ data[i]
-        sums.append(s)
-        w = len(idx) + s.bit_count()
-        if w <= 6:
-            h, skip = (w + 1) // 2, 1 - w % 2
-            key = (h, (idx + _parity_members(s, d))[skip:skip + h])
-            if best is None or key < best[0]:
-                best = (key, len(idx), w)
-    if best is None:
-        return None
-    (h, _), xs, w = best
-    skip = 1 - w % 2
-    later_xs = max(0, min(xs, skip + h) - skip)
-    return _kind(later_xs, h), _kind(xs - later_xs, w - h)
-
 
 @dataclass(frozen=True)
 class MinParityReport:
@@ -282,9 +228,6 @@ class MinParityReport:
         }
 
 
-MAX_MIN_PARITY_WIDTH = 12
-
-
 def _check_min_parity_width(n: int) -> None:
     if not 4 <= n <= MAX_MIN_PARITY_WIDTH:
         raise ValueError(f"min-parity search supports widths 4..{MAX_MIN_PARITY_WIDTH}")
@@ -297,7 +240,8 @@ def min_parity_search(n: int, pruned: bool = True) -> MinParityReport:
     X_i in N_5, pairwise distance at least 5 (an exact distance of 5 is
     parity-impossible between two weight-5 codes, so the bound reading is the
     only one under which the conditions can be met at all).  All candidates
-    meeting them fail, classified by the first colliding pattern pair.  The
+    meeting them fail, counted by the kinds of the first colliding pattern
+    pair, which weight(X_1 ^ X_2 ^ X_3) alone decides.  The
     unpruned mode drops the weight restriction and proves n=8 and n=9
     infeasible outright while n=10 admits covering placements, the first of
     which is returned as witness.
@@ -340,23 +284,21 @@ def _triples(singles: Sequence[int], apart, radius: int, n: int):
 
 
 def _pruned_min_parity(n: int) -> MinParityReport:
+    """Each X_i with its five parities is a weight-6 codeword, so every
+    triple fails; a pair at distance >= 5 gives one of weight >= 7.  The
+    trio's codeword has odd weight 3 + weight(a ^ b ^ c), never 4: a ^ b ^ c
+    of weight 1 would put c at distance 4 from a or b, or outside N_5.  At
+    weight 3 it is the trio's weight-6 codeword that splits first, XXP=XPP;
+    at weight >= 5 a single data bit's, PPP=XPP."""
     n5 = _n_class(5, n)
-    fails: Counter = Counter()
-    pairs = triples = covering = 0
-    witness = None
-    # no condition on a ^ b ^ c: radius -1 leaves `far` equal to `thirds`
-    for a, b, thirds, _far in _triples(n5, lambda a, b: weight(a ^ b) >= 5, -1, n):
+    pairs = triples = heavy = 0
+    for _a, _b, thirds, far in _triples(n5, lambda a, b: (a ^ b).bit_count() >= 5, 3, n):
         pairs += 1
-        for c in _members(thirds):
-            triples += 1
-            r = _first_collision_kind((a, b, c), n)
-            if r is None:
-                covering += 1
-                witness = witness or (a, b, c)
-            else:
-                fails["{}={}".format(*r)] += 1
-    return MinParityReport(n, True, len(n5), pairs, triples, covering,
-                           dict(sorted(fails.items())), witness)
+        triples += thirds.bit_count()
+        heavy += far.bit_count()
+    kinds = {"PPP=XPP": heavy, "XXP=XPP": triples - heavy}
+    return MinParityReport(n, True, len(n5), pairs, triples, 0,
+                           {k: v for k, v in kinds.items() if v}, None)
 
 
 def _covering(n: int):

@@ -198,7 +198,7 @@ class SClass:
 
     @classmethod
     def parse(cls, label: str) -> "SClass":
-        m = re.fullmatch(r"S_?([\d,]+)\^([\d,]+)", label.strip())
+        m = re.fullmatch(r"S_?([\d,]+)\^([\d,]*)", label.strip())
         if not m:
             raise ValueError(f"not an S-class label: {label!r}")
         def nums(s):
@@ -590,9 +590,18 @@ def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Ite
     w1, w2, w3 = (cls.weights + (None, None, None))[:3]
     d12, d13, d23 = (cls.distances + (None, None, None))[:3]
     c1, c2, c3 = (_weight_class(w, n) for w in (w1, w2, w3))
+    if d == 1:
+        # a lone X_1 is valid iff its weight is at least 4
+        for x1 in c1:
+            stats.candidates_evaluated += 1
+            if w1 >= 4:
+                stats.placements_emitted += 1
+                yield _placement(n, (x1,))
+        return
+
     # The kernel's subsets of X_1, X_2 and X_3 other than {X_1, X_2, X_3}
     # depend on the class alone: |D| + weight(XOR D) < 5 for |D| <= 2.
-    pair_collides = d >= 2 and (w1 <= 3 or w2 <= 3 or d12 <= 2)
+    pair_collides = w1 <= 3 or w2 <= 3 or d12 <= 2
     third_collides = d >= 3 and (w3 <= 3 or d13 <= 2 or d23 <= 2)
 
     def ring(x: int, dist: int) -> int:

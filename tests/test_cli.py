@@ -66,6 +66,17 @@ def test_validate_ok_and_invalid(capsys, placement_files):
     assert code == 2 and json.loads(out)["valid"] is False
 
 
+def test_validate_offers_no_csv(capsys, placement_files):
+    code, out, err = run_cli(capsys, "validate", "--format", "csv",
+                             "--placement", placement_files["s445_433"])
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+    code, out, _ = run_cli(capsys, "validate", "--format", "text",
+                           "--placement", placement_files["s445_433"])
+    assert code == 0 and out == "valid\n"
+
+
 def test_missing_placement_file_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "render", "--placement", "/nonexistent/ref.json")
     assert code == 1
@@ -147,6 +158,14 @@ def test_coverage_minparity_8(capsys):
     assert rec["infeasible"] is True and rec["pairs_meeting_conditions"] > 0
 
 
+@pytest.mark.parametrize("n", ["10", "16"])
+def test_coverage_theorem4_past_width_9_is_usage_error(capsys, n):
+    code, out, err = run_cli(capsys, "coverage", "theorem4", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "[4, 9] for theorem4" in err
+
+
 @pytest.mark.parametrize("n", ["3", "13"])
 def test_coverage_minparity_width_out_of_range_is_usage_error(capsys, n):
     code, out, err = run_cli(capsys, "coverage", "minparity", "--n", n)
@@ -163,7 +182,9 @@ def test_width_out_of_range_is_usage_error(capsys, argv, n):
     code, out, err = run_cli(capsys, *argv, "--n", n)
     assert code == 1
     assert out == ""
-    assert "usage error" in err and "[4, 16]" in err
+    # theorem 4 keeps every survivor, so it stops short of the map widths
+    span = "[4, 9]" if argv == ("coverage", "theorem4") else "[4, 16]"
+    assert "usage error" in err and span in err
 
 
 @pytest.mark.parametrize("argv", [("search", "--d", "0"), ("search", "--d", "5"),

@@ -144,6 +144,12 @@ def test_theorem4_impossible_at_7():
     assert report.triples_checked == math.comb(64, 3)
 
 
+@pytest.mark.parametrize("n", [10, 16])
+def test_theorem4_refuses_widths_past_9(n):
+    with pytest.raises(ValueError, match="4..9"):
+        theorem4_check(n)
+
+
 def test_theorem4_pruning_lemma():
     # surviving the forced conditions means all three in N_5 at pairwise
     # distance 4, and then the pair XOR lands next to the third bit

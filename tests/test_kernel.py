@@ -1,22 +1,24 @@
 """The minimum-distance kernel against the brute-force pattern oracles.
 
-`_collides`, `_first_collision_kind`, `theorem4_check` and the unpruned
-min-parity walk all decide syndrome collisions from data subsets alone;
-`oracles` lists every pattern and its syndrome instead.  The one bitset
-triple walk behind theorem 4, both min-parity modes and the full-coverage
-search is also checked against the set-, list- and covering-walk
-references it replaced.
+`_collides`, `theorem4_check`, the min-parity walks and the subset-walk
+classifier `oracles._first_collision_kind` decide syndrome collisions from
+data subsets alone; `oracles` lists every pattern and its syndrome instead.
+The pruned sweep's weight rule is checked against that listing.  The one
+bitset triple walk behind theorem 4, both min-parity modes and the
+full-coverage search is also checked against the set-, list- and
+covering-walk references it replaced.
 """
 
 import math
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from kmap_ecc.coverage import (_first_collision_kind, full_coverage_search,
-                               min_parity_search, theorem4_check)
+from oracles import _first_collision_kind
+from kmap_ecc.coverage import full_coverage_search, min_parity_search, theorem4_check
 from kmap_ecc.kcode import weight
 from kmap_ecc.placement import _collides
 
@@ -68,15 +70,50 @@ def test_first_collision_kind_matches_oracle_on_heavy_codes(case):
     assert _first_collision_kind(data, n) == oracles.first_collision_kind(data, n)
 
 
+def _pruned_triples(n):
+    """Every triple of weight-5 codes at pairwise distance at least 5."""
+    n5 = [x for x in range(1 << n) if weight(x) == 5]
+    later = {a: [b for b in n5 if b > a and weight(a ^ b) >= 5] for a in n5}
+    return [(a, b, c) for a in n5 for b in later[a] for c in later[b]
+            if weight(a ^ c) >= 5]
+
+
+def _weight_rule(a, b, c):
+    """The first collision kinds the pruned sweep counts a triple under."""
+    return ("PPP", "XPP") if weight(a ^ b ^ c) >= 5 else ("XXP", "XPP")
+
+
 def test_first_collision_kind_on_every_pruned_triple_at_9():
-    """Every triple the pruned n=9 sweep classifies: weight-5 codes at
-    pairwise distance at least 5."""
-    n5 = [x for x in range(1 << 9) if weight(x) == 5]
-    triples = [t for t in combinations(n5, 3)
-               if all(weight(a ^ b) >= 5 for a, b in combinations(t, 2))]
+    """Every triple the pruned n=9 sweep counts, all of weight(a ^ b ^ c)
+    3, against the pattern oracle."""
+    triples = _pruned_triples(9)
     assert len(triples) == 7560
+    assert {weight(a ^ b ^ c) for a, b, c in triples} == {3}
     for t in triples:
-        assert _first_collision_kind(t, 9) == oracles.first_collision_kind(t, 9), t
+        assert _weight_rule(*t) == oracles.first_collision_kind(t, 9), t
+
+
+def test_weight_rule_on_sampled_pruned_triples_at_10():
+    by_weight = {}
+    for t in _pruned_triples(10):
+        by_weight.setdefault(weight(t[0] ^ t[1] ^ t[2]) >= 5, []).append(t)
+    rng = random.Random(10)
+    for heavy in (False, True):
+        for t in rng.sample(by_weight[heavy], 300):
+            assert _weight_rule(*t) == oracles.first_collision_kind(t, 10), t
+
+
+@pytest.mark.parametrize("n, pairs, triples, ppp, xxp", [
+    (11, 64911, 3341800, 2926000, 415800),
+    (12, 216216, 25779600, 24116400, 1663200),
+])
+def test_pruned_min_parity_pinned(n, pairs, triples, ppp, xxp):
+    assert min_parity_search(n).to_json() == {
+        "n": n, "pruned": True, "weight_candidates": math.comb(n, 5),
+        "pairs_meeting_conditions": pairs, "triples_meeting_conditions": triples,
+        "covering_placements": 0, "infeasible": True,
+        "failure_kinds": {"PPP=XPP": ppp, "XXP=XPP": xxp}, "witness": None,
+    }
 
 
 def test_theorem4_survivors_match_brute_force():

@@ -449,3 +449,15 @@ def test_sclass_labels():
     assert cls.label == "S_445^433"
     assert SClass.parse("S_445^433") == cls
     assert SClass.parse("S_4,4,5^4,3,3") == cls
+    one = SClass((4,), ())
+    assert one.label == "S_4^" and SClass.parse(one.label) == one
+
+
+@pytest.mark.parametrize("w", range(8))
+def test_one_bit_class_pin_yields_every_valid_code_of_its_weight(w):
+    stats = SearchStats()
+    got = [p.data for p in guided_search(7, 1, sclass=SClass((w,), ()), stats=stats)]
+    codes = [x for x in range(128) if weight(x) == w]
+    assert got == [(x,) for x in codes if is_valid(Placement(7, (x,)))]
+    assert stats.candidates_evaluated == len(codes)
+    assert stats.placements_emitted == len(got) == (len(codes) if w >= 4 else 0)
