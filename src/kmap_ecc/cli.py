@@ -1,8 +1,9 @@
 """Command-line entry point wiring all modules together.
 
-Exit codes: 0 success, 1 usage error, 2 domain failure (invalid placement,
-uncorrectable word, grid mismatch, unsafe ordering), 3 internal error.
-Data goes to stdout, diagnostics and timings to stderr.
+Exit codes: 0 success, 1 usage error (any value a command or the library
+refuses), 2 domain failure (invalid placement, uncorrectable word, failed
+check, differing grids, unsafe ordering), 3 internal error.  Data goes to
+stdout, diagnostics and timings to stderr.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ EXIT_INTERNAL = 3
 NAIVE_TUPLE_BUDGET = 1_000_000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -112,14 +113,8 @@ def _cmd_search(args) -> int:
         _check_naive_budget(args.n, args.d)
         stream = naive_search(args.n, args.d, stats=stats)
     else:
-        if args.d > MAX_GUIDED_D:
-            raise UsageError(f"guided search places 1 to {MAX_GUIDED_D} data bits "
-                             f"(--naive places any number), got --d {args.d}")
-        try:
-            cls = SClass.parse(args.sclass) if args.sclass else None
-            stream = guided_search(args.n, args.d, sclass=cls, stats=stats)
-        except ValueError as e:
-            raise UsageError(str(e)) from e
+        cls = SClass.parse(args.sclass) if args.sclass else None
+        stream = guided_search(args.n, args.d, sclass=cls, stats=stats)
     emitted = 0
     for p in stream:
         record = {"n": p.n, "data": list(p.data)}
@@ -179,10 +174,7 @@ def _cmd_codec_encode(args) -> int:
 def _cmd_codec_decode(args) -> int:
     p = _load_placement(args.placement)
     tables = build_tables(p, include_triples=args.triples)
-    try:
-        word = Codeword.from_string(args.word, p.d, p.n)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    word = Codeword.from_string(args.word, p.d, p.n)
     fixed, report = decode(word, tables, odd_parity=args.odd)
     _emit_json({
         "status": report.status,
@@ -194,16 +186,8 @@ def _cmd_codec_decode(args) -> int:
     return EXIT_OK if report.status != "uncorrectable" else EXIT_DOMAIN
 
 
-def _three_bit_report(path: str, mode: str = "strict") -> coverage_mod.CoverageReport:
-    p = _load_placement(path)
-    if p.d != 3:
-        raise UsageError("three-bit coverage is defined for 3-data-bit placements, "
-                         f"got d={p.d}")
-    return coverage_mod.three_bit_coverage(p, mode)
-
-
 def _cmd_coverage_report(args) -> int:
-    report = _three_bit_report(args.placement, args.mode)
+    report = coverage_mod.three_bit_coverage(_load_placement(args.placement), args.mode)
     _emit_json(report.to_json())
     return EXIT_OK
 
@@ -234,22 +218,16 @@ def _cmd_coverage_minparity(args) -> int:
 
 
 def _cmd_burst_search(args) -> int:
-    report = _three_bit_report(args.placement)
-    try:
-        census = burst_mod.search_orderings(report, threads=args.threads)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    report = coverage_mod.three_bit_coverage(_load_placement(args.placement))
+    census = burst_mod.search_orderings(report, threads=args.threads)
     _emit_json(census.to_json())
     return EXIT_OK
 
 
 def _cmd_burst_check(args) -> int:
-    report = _three_bit_report(args.placement)
-    try:
-        ordering = burst_mod.Ordering.parse(args.ordering)
-        bad = burst_mod.failing_window(ordering, report)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    report = coverage_mod.three_bit_coverage(_load_placement(args.placement))
+    ordering = burst_mod.Ordering.parse(args.ordering)
+    bad = burst_mod.failing_window(ordering, report)
     out = {"ordering": ordering.label, "burst_safe": bad is None}
     if bad is not None:
         window = burst_mod.burst_triples(ordering)[bad]
@@ -276,13 +254,8 @@ def _cmd_render(args) -> int:
             i, j = (int(t) for t in args.forbidden_for.split(","))
         except ValueError as e:
             raise UsageError("--forbidden-for wants two indices like 1,2") from e
-        if not (1 <= i <= p.d and 1 <= j <= p.d and i != j):
-            raise UsageError(f"--forbidden-for wants two distinct data indices in "
-                             f"[1, {p.d}], got {i},{j}")
         forbidden = (i, j)
     layout = _parse_layout(args.layout, p.n)
-    if layout.n != p.n:
-        raise UsageError(f"--layout has width {layout.n} but the placement has width {p.n}")
     grid = render_mod.render_map(p, include_triples=args.triples,
                                  forbidden_for=forbidden, layout=layout)
     if args.format == "text":
@@ -356,7 +329,7 @@ def _cmd_verify_theorems(args) -> int:
     for name, ok in checks:
         print(("PASS  " if ok else "FAIL  ") + name)
         failed = failed or not ok
-    return EXIT_INTERNAL if failed else EXIT_OK
+    return EXIT_DOMAIN if failed else EXIT_OK
 
 
 def _cmd_bench(args) -> int:
@@ -505,12 +478,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except PlacementError as e:
         print(f"invalid placement: {e}", file=sys.stderr)
         return EXIT_DOMAIN
+    except ValueError as e:     # a UsageError, or a value the library refuses
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
     except Exception as e:  # internal assertion

@@ -10,8 +10,8 @@ from typing import Mapping, Sequence
 
 from .kcode import check_width, _n_class
 from .placement import (ErrorPattern, Placement, SClass, guided_search,
-                        require_valid, _collides, _data_candidates,
-                        _index_patterns, _pattern)
+                        require_valid, triple_classes, _collides,
+                        _data_candidates, _index_patterns, _pattern)
 from .codec import _covered_triples, _free_triples
 
 __all__ = [
@@ -74,7 +74,7 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
     comparison only and overstates what a decoder can actually correct.
     """
     if p.d != 3:
-        raise ValueError("three-bit coverage is defined for 3-data-bit placements")
+        raise ValueError(f"three-bit coverage is defined for 3-data-bit placements, got d={p.d}")
     if _collides(p.data, p.n):
         require_valid(p)  # raises PlacementError with the collision report
     if mode not in ("strict", "assignable"):
@@ -151,7 +151,6 @@ def census(n: int = 7, mode: str = "strict", full: bool = False,
     """
     check_width(n)
     if full:
-        from .placement import triple_classes
         labels = [(0, cls.label) for cls, _ in triple_classes(n)]
     else:
         labels = [(i + 1, lab) for i, fam in enumerate(CENSUS_FAMILIES) for lab in fam]
@@ -277,6 +276,9 @@ def _triples(singles: Sequence[int], apart, radius: int, n: int):
     for a, partners in mask.items():
         for b in _members(partners):
             thirds = partners & mask[b]
+            if not thirds:
+                yield a, b, 0, 0
+                continue
             x = a ^ b
             if x not in outside:
                 outside[x] = ~sum(1 << (x ^ t) for t in ball)

@@ -181,9 +181,8 @@ class SClass:
             raise ValueError("distance count does not match weight count")
 
     @classmethod
-    def from_placement(cls, p: Placement, count: int | None = None) -> "SClass":
-        k = min(p.d, 3) if count is None else count
-        codes = p.data[:k]
+    def from_placement(cls, p: Placement) -> "SClass":
+        codes = p.data[:3]
         ws = tuple(weight(x) for x in codes)
         ds = tuple((a ^ b).bit_count() for a, b in combinations(codes, 2))
         return cls(ws, ds)
@@ -201,9 +200,13 @@ class SClass:
         m = re.fullmatch(r"S_?([\d,]+)\^([\d,]*)", label.strip())
         if not m:
             raise ValueError(f"not an S-class label: {label!r}")
-        def nums(s):
-            return tuple(int(t) for t in (s.split(",") if "," in s else s))
-        return cls(nums(m.group(1)), nums(m.group(2)))
+        weights, distances = m.groups()
+        if "," in label:        # a part past 9: both parts are comma-separated
+            return cls(tuple(map(int, weights.split(","))),
+                       tuple(map(int, filter(None, distances.split(",")))))
+        if not distances:       # one data bit: its weight, read whole
+            return cls((int(weights),), ())
+        return cls(tuple(map(int, weights)), tuple(map(int, distances)))
 
     def sort_key(self):
         return (self.weights, self.distances)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .kcode import GrayLayout, default_layout, gray_index
-from .placement import ErrorPattern, Placement, require_valid
+from .placement import ErrorPattern, Placement, forbidden_squares, require_valid
 from .codec import _covered_triples
 
 __all__ = ["MapGrid", "CellDiff", "render_map", "diff_grids",
@@ -49,12 +49,18 @@ def render_map(p: Placement, include_triples: bool = False,
     The zero square is labeled "N".  With `include_triples` the covered
     three-bit patterns are labeled too.  `forbidden_for` = (i, j) marks the
     squares forbidden to a further data bit by the placed pair (X_i, X_j)
-    with "f" (1-indexed into the placement's data list).
+    with "f" (1-indexed into the placement's data list).  The layout and
+    the pair are checked before the placement's validity.
     """
-    mapping = require_valid(p)
     layout = layout or default_layout(p.n)
     if layout.n != p.n:
-        raise ValueError("layout width does not match placement width")
+        raise ValueError(f"layout has width {layout.n} but the placement has width {p.n}")
+    if forbidden_for is not None:
+        i, j = forbidden_for
+        if not (1 <= i <= p.d and 1 <= j <= p.d and i != j):
+            raise ValueError(f"forbidden_for wants two distinct data indices in "
+                             f"[1, {p.d}], got {i},{j}")
+    mapping = require_valid(p)
     if include_triples:
         mapping.update(_covered_triples(p, mapping))
     rows, cols = layout._axes
@@ -63,10 +69,6 @@ def render_map(p: Placement, include_triples: bool = False,
              for code, pat in mapping.items()}
     cells[0, 0] = ZERO_LABEL     # square 0, the empty pattern's, is the origin
     if forbidden_for is not None:
-        from .placement import forbidden_squares
-        i, j = forbidden_for
-        if not (1 <= i <= p.d and 1 <= j <= p.d and i != j):
-            raise ValueError(f"forbidden_for needs two distinct data indices, got {forbidden_for}")
         for code in forbidden_squares(p.data[i - 1], p.data[j - 1], p.n):
             if code not in mapping:
                 cells[layout.to_grid(code)] = FORBIDDEN_MARK

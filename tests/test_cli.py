@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from kmap_ecc import cli
 from kmap_ecc.cli import main
 from kmap_ecc.placement import Placement
 
@@ -47,6 +48,13 @@ def test_search_class_pin(capsys):
     assert code == 0
     rec = json.loads(out.strip())
     assert rec["class"] == "S_447^433"
+
+
+def test_search_class_pin_with_a_distance_past_9(capsys):
+    code, out, _ = run_cli(capsys, "search", "--n", "12", "--d", "2",
+                           "--class", "S_5,5^10", "--limit", "1")
+    assert code == 0
+    assert json.loads(out)["class"] == "S_5,5^10"
 
 
 @pytest.mark.parametrize("argv", [("--d", "3", "--class", "garbage"),
@@ -288,7 +296,7 @@ def test_render_forbidden_for_bad_indices_is_usage_error(capsys, placement_files
                              "--forbidden-for", pair)
     assert code == 1
     assert out == ""
-    assert "usage error: --forbidden-for wants two distinct data indices in [1, 3]" in err
+    assert "usage error: forbidden_for wants two distinct data indices in [1, 3]" in err
 
 
 def test_render_layout_width_mismatch_is_usage_error(capsys, placement_files):
@@ -297,11 +305,22 @@ def test_render_layout_width_mismatch_is_usage_error(capsys, placement_files):
                              "--layout", wide)
     assert code == 1
     assert out == ""
-    assert "usage error: --layout has width 8 but the placement has width 7" in err
+    assert "usage error: layout has width 8 but the placement has width 7" in err
     same = json.dumps({"n": 7, "row_vars": [7, 5, 3, 1], "col_vars": [6, 4, 2]})
     code, out, _ = run_cli(capsys, "render", "--placement", placement_files["s447_433"],
                            "--layout", same)
     assert code == 0 and out.startswith("rows s7 s5 s3 s1")
+
+
+@pytest.mark.parametrize("flag", [
+    ("--forbidden-for", "1,2"),
+    ("--layout", json.dumps({"n": 8, "row_vars": [8, 7, 5, 3], "col_vars": [6, 4, 2, 1]})),
+], ids=["forbidden-for", "layout"])
+def test_render_bad_flag_on_invalid_placement_is_usage_error(capsys, placement_files, flag):
+    """The flags are refused before the placement is found invalid."""
+    code, out, err = run_cli(capsys, "render", "--placement", placement_files["invalid"], *flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ")
 
 
 @pytest.mark.parametrize("layout", [
@@ -378,6 +397,13 @@ def test_verify_theorems_sampled_at_8(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("SKIP")
     assert sum(1 for line in lines if line.startswith("PASS")) == 3
+
+
+def test_verify_theorems_failure_is_domain_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "theorem1_overlap", lambda a, b, n: 5)
+    code, out, _ = run_cli(capsys, "verify-theorems")
+    assert code == 2
+    assert "FAIL  theorem1" in out
 
 
 def test_bench_counters(capsys):

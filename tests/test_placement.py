@@ -449,8 +449,13 @@ def test_sclass_labels():
     assert cls.label == "S_445^433"
     assert SClass.parse("S_445^433") == cls
     assert SClass.parse("S_4,4,5^4,3,3") == cls
-    one = SClass((4,), ())
-    assert one.label == "S_4^" and SClass.parse(one.label) == one
+    # labels round-trip, also once a weight or distance passes 9
+    for cls, label in ((SClass((4,), ()), "S_4^"), (SClass((12,), ()), "S_12^"),
+                       (SClass((5, 5), (10,)), "S_5,5^10")):
+        assert cls.label == label and SClass.parse(label) == cls
+    classes = [cls for cls, _ in triple_classes(16)]
+    assert any(v >= 10 for cls in classes for v in cls.weights + cls.distances)
+    assert all(SClass.parse(cls.label) == cls for cls in classes)
 
 
 @pytest.mark.parametrize("w", range(8))
