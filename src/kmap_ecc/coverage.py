@@ -133,7 +133,7 @@ class CensusRow:
 
 def _census_row(family: int, label: str, n: int, mode: str) -> CensusRow:
     cls = SClass.parse(label)
-    rep = next(guided_search(n, 3, sclass=cls), None)
+    rep = next(guided_search(n, 3, sclass=cls), None) if cls.fits(n) else None
     if rep is None:
         return CensusRow(family, label, False, 0, dict.fromkeys(CLASS_KEYS, 0), None)
     report = three_bit_coverage(rep, mode)

@@ -9,6 +9,7 @@ pruning derived from it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -24,7 +25,8 @@ __all__ = [
     "occupied_map", "collisions", "is_valid",
     "parity_footprint", "double_weight_count",
     "theorem1_overlap", "theorem2_overlap", "forbidden_squares",
-    "guided_search", "MAX_GUIDED_D", "naive_search", "permute_bits",
+    "guided_search", "MAX_GUIDED_D", "naive_search", "NAIVE_TUPLE_BUDGET",
+    "permute_bits",
     "BLESSED_PAIR_SITUATIONS", "X3_DOUBLE_WEIGHT_TABLE",
     "reference_placements", "triple_classes",
 ]
@@ -210,6 +212,10 @@ class SClass:
 
     def sort_key(self):
         return (self.weights, self.distances)
+
+    def fits(self, n: int) -> bool:
+        """True iff n-bit codes can have every weight and distance named."""
+        return all(0 <= v <= n for v in self.weights + self.distances)
 
 
 @dataclass(frozen=True)
@@ -467,6 +473,10 @@ X3_DOUBLE_WEIGHT_TABLE = {
 #: The most data bits :func:`guided_search` places (it stops at X_4).
 MAX_GUIDED_D = 4
 
+#: The most candidate tuples :func:`naive_search` walks: n=7 with d <= 4
+#: (C(64, 4) = 635,376) fits, n=7 with d=5 (C(64, 5) = 7,624,512) does not.
+NAIVE_TUPLE_BUDGET = 1_000_000
+
 
 @dataclass
 class SearchStats:
@@ -488,9 +498,20 @@ def _data_candidates(n: int) -> tuple[int, ...]:
 
 
 def naive_search(n: int, d: int, stats: SearchStats | None = None) -> Iterator[Placement]:
-    """Baseline: every ascending weight->=4 tuple, filtered by the oracle."""
+    """Baseline: every ascending weight->=4 tuple, filtered by the oracle.
+
+    The walk visits every tuple when it finds nothing, so a call that would
+    walk more than :data:`NAIVE_TUPLE_BUDGET` tuples is refused at the call.
+    """
     check_width(n)
-    stats = stats if stats is not None else SearchStats()
+    tuples = math.comb(len(_data_candidates(n)), d)
+    if tuples > NAIVE_TUPLE_BUDGET:
+        raise ValueError(f"naive search at n={n}, d={d} would walk {tuples:,} "
+                         f"candidate tuples, over its budget of {NAIVE_TUPLE_BUDGET:,}")
+    return _naive_search(n, d, stats if stats is not None else SearchStats())
+
+
+def _naive_search(n: int, d: int, stats: SearchStats) -> Iterator[Placement]:
     for combo in combinations(_data_candidates(n), d):
         stats.candidates_evaluated += 1
         if not _collides(combo, n):
@@ -560,6 +581,8 @@ def guided_search(
         raise ValueError(f"guided search places 1 to {MAX_GUIDED_D} data bits, got {d}")
     if sclass is not None and len(sclass.weights) != min(d, 3):
         raise ValueError(f"class {sclass.label} does not describe {d} data bits")
+    if sclass is not None and not sclass.fits(n):
+        raise ValueError(f"class {sclass.label} names a weight or distance outside 0..{n}")
     return _guided_search(n, d, sclass, stats if stats is not None else SearchStats())
 
 

@@ -23,7 +23,6 @@ def pytest_configure(config):
         filter(None, (src, os.environ.get("PYTHONPATH"))))
     config.addinivalue_line(
         "markers", "criterion(num, name): acceptance criterion this test checks")
-    config.addinivalue_line("markers", "slow: runs a full n=10 min-parity sweep")
 
 
 def pytest_runtest_logreport(report):

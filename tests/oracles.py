@@ -10,9 +10,8 @@ per-cell map renderer and the formatted grid CSV writer and reader the
 valid-placement fast path and the layout tables replaced, the
 bit-at-a-time parity packing and syndrome fold the codec's byte tables
 replaced, side squares by a scan of every square of the map, and the
-set-based theorem 4 check, list-based pruned min-parity sweep and covering
-walk the one bitset triple walk replaced, and the subset-walk classifier of
-first collisions the pruned sweep's weight rule replaced.
+set-based theorem 4 check and covering walk the one bitset triple walk
+replaced.
 
 Each syndrome oracle lists error patterns and their syndromes outright,
 so it shares no reasoning with :func:`kmap_ecc.placement._collides` beyond
@@ -22,8 +21,6 @@ the codes of the parity bits.
 import csv
 import io
 import math
-from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 
 from kmap_ecc.burst import BurstCensus, BurstGroup, Ordering, _allowed_thirds
@@ -66,66 +63,6 @@ def first_collision_kind(data, n):
                 return (kind(idx), seen[s])
             seen[s] = kind(idx)
     return None
-
-
-def _kind(xs: int, size: int) -> str:
-    """Kind of a pattern of `size` members, `xs` of them data bits."""
-    return "X" * xs + "P" * (size - xs) if size else "zero"
-
-
-@lru_cache(maxsize=1 << 12)
-def _parity_members(s: int, d: int) -> tuple[int, ...]:
-    """Code-bit indices d + k of the parity bits P_{k+1} set in syndrome `s`."""
-    return tuple(d + k for k in range(s.bit_length()) if s >> k & 1)
-
-
-@lru_cache(maxsize=16)
-def _subset_walk(d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The nonempty subsets of at most six of d data bits, each adding one
-    index i to an earlier subset: (position of that subset, with 0 the
-    empty one, i, the subset's index tuple)."""
-    walk = []
-    subsets = [()]
-    for i in range(d):
-        grown = [(pos, idx + (i,)) for pos, idx in enumerate(subsets) if len(idx) < 6]
-        walk += [(pos, i, idx) for pos, idx in grown]
-        subsets += [idx for _pos, idx in grown]
-    return tuple(walk)
-
-
-def _first_collision_kind(data, n: int) -> tuple[str, str] | None:
-    """None when every <=3-bit pattern owns a distinct syndrome, else the
-    kinds of the first colliding pattern pair, e.g. ("XXP", "XPP").
-
-    "First" is in the order patterns are listed: by size, then by index
-    over X_1..X_d, P_1..P_n; the later pattern is named first.  Two
-    patterns collide iff their symmetric difference is a nonzero codeword,
-    here a data subset D plus the parities of XOR D, of weight w <= 6 (the
-    walk of :func:`kmap_ecc.placement._collides` at bound 7).  The earliest
-    collision splits one such codeword as evenly as possible: the later
-    pattern is the first ceil(w/2) members of the codeword (after its least
-    member when w is even) and the earlier pattern is the rest.  The
-    codeword lists D's indices before its parities, so each pattern's kind
-    follows from how many of D's indices it takes.
-    """
-    d = len(data)
-    sums = [0]
-    best = None
-    for pos, i, idx in _subset_walk(d):
-        s = sums[pos] ^ data[i]
-        sums.append(s)
-        w = len(idx) + s.bit_count()
-        if w <= 6:
-            h, skip = (w + 1) // 2, 1 - w % 2
-            key = (h, (idx + _parity_members(s, d))[skip:skip + h])
-            if best is None or key < best[0]:
-                best = (key, len(idx), w)
-    if best is None:
-        return None
-    (h, _), xs, w = best
-    skip = 1 - w % 2
-    later_xs = max(0, min(xs, skip + h) - skip)
-    return _kind(later_xs, h), _kind(xs - later_xs, w - h)
 
 
 def iter_patterns(p, sizes=(1, 2)):
@@ -494,30 +431,6 @@ def theorem4_check(n):
         and not _collides((a, b, c), n))
     return Theorem4Report(n, not survivors, len(singles),
                           math.comb(len(singles), 3), survivors)
-
-
-def pruned_min_parity(n):
-    """The pruned min-parity report from neighbour lists and a set probe."""
-    n5 = [x for x in range(1 << n) if x.bit_count() == 5]
-    neigh = {a: [b for b in n5 if b > a and (a ^ b).bit_count() >= 5] for a in n5}
-    fails = Counter()
-    covering = triples = 0
-    witness = None
-    for a in n5:
-        for b in neigh[a]:
-            bs = set(neigh[b])
-            for c in neigh[a]:
-                if c <= b or c not in bs:
-                    continue
-                triples += 1
-                r = _first_collision_kind((a, b, c), n)
-                if r is None:
-                    covering += 1
-                    witness = witness or (a, b, c)
-                else:
-                    fails["{}={}".format(*r)] += 1
-    return MinParityReport(n, True, len(n5), sum(len(v) for v in neigh.values()),
-                           triples, covering, dict(sorted(fails.items())), witness)
 
 
 def _members(mask):

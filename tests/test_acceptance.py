@@ -353,7 +353,6 @@ def test_c10_min_parity_fast(n, expect_pairs):
 
 
 @pytest.mark.criterion(10, "min-parity infeasibility")
-@pytest.mark.slow
 def test_c10_min_parity_10(min_parity_10):
     report = min_parity_10
     assert report.infeasible
@@ -376,6 +375,7 @@ def test_c11_counters(d):
 
 SUBCOMMANDS = (
     ("search", "--d", "3", "--limit", "3"),
+    ("search", "--d", "4", "--limit", "1"),
     ("coverage", "census"),
     ("coverage", "minparity", "--n", "8"),
     ("verify-theorems",),

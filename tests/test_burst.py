@@ -165,7 +165,7 @@ def test_search_and_census_start_no_process(monkeypatch, ref447_report):
     assert census(7, threads=4) == census(7)
 
 
-@pytest.mark.parametrize("n", [10, 16])
+@pytest.mark.parametrize("n", [16])      # n=10 is refused in the width gate's child run
 def test_search_over_state_budget_is_refused(n):
     report = three_bit_coverage(next(guided_search(n, 3)))
     with pytest.raises(ValueError, match=f"budget of {BURST_STATE_BUDGET:,} states"):

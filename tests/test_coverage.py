@@ -188,7 +188,6 @@ def test_min_parity_9_infeasible_names_failure():
     assert set(report.failure_kinds) == {"XXP=XPP"}
 
 
-@pytest.mark.slow
 def test_min_parity_10_infeasible(min_parity_10):
     report = min_parity_10
     assert report.infeasible

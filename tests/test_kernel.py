@@ -1,24 +1,24 @@
 """The minimum-distance kernel against the brute-force pattern oracles.
 
-`_collides`, `theorem4_check`, the min-parity walks and the subset-walk
-classifier `oracles._first_collision_kind` decide syndrome collisions from
-data subsets alone; `oracles` lists every pattern and its syndrome instead.
-The pruned sweep's weight rule is checked against that listing.  The one
-bitset triple walk behind theorem 4, both min-parity modes and the
-full-coverage search is also checked against the set-, list- and
-covering-walk references it replaced.
+`_collides`, `theorem4_check` and the min-parity walks decide syndrome
+collisions from data subsets alone; `oracles` lists every pattern and its
+syndrome instead.  The pruned sweep's weight rule and its whole report are
+checked against that listing.  The one bitset triple walk behind theorem 4,
+the unpruned min-parity mode and the full-coverage search is also checked
+against the set- and covering-walk references it replaced.
 """
 
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import _first_collision_kind
-from kmap_ecc.coverage import full_coverage_search, min_parity_search, theorem4_check
+from kmap_ecc.coverage import (MinParityReport, full_coverage_search, min_parity_search,
+                               theorem4_check)
 from kmap_ecc.kcode import weight
 from kmap_ecc.placement import _collides
 
@@ -31,7 +31,6 @@ def test_kernel_matches_oracles_exhaustively_at_7():
         for data in combinations(W4PLUS, d):
             assert _collides(data, 7) == oracles.collides(data, 7), data
             kind = oracles.first_collision_kind(data, 7)
-            assert _first_collision_kind(data, 7) == kind, data
             assert _collides(data, 7, 7) == (kind is not None), data
             checked += 1
     assert checked == 64 + math.comb(64, 2) + math.comb(64, 3)
@@ -50,47 +49,25 @@ def test_kernel_matches_oracles_at_any_width(case):
     n, data = case
     assert _collides(data, n) == oracles.collides(data, n)
     kind = oracles.first_collision_kind(data, n)
-    assert _first_collision_kind(data, n) == kind
     assert _collides(data, n, 7) == (kind is not None)
 
 
-@st.composite
-def heavy_placements(draw):
-    # heavy data bits rarely collide within two bits, so the oracle's scan
-    # reaches its three-bit patterns, where the two kinds of failure differ
-    n = draw(st.integers(6, 12))
-    heavy = st.integers(0, (1 << n) - 1).filter(lambda x: weight(x) >= n // 2)
-    return n, draw(st.lists(heavy, min_size=2, max_size=5))
-
-
-@settings(max_examples=300, deadline=None)
-@given(heavy_placements())
-def test_first_collision_kind_matches_oracle_on_heavy_codes(case):
-    n, data = case
-    assert _first_collision_kind(data, n) == oracles.first_collision_kind(data, n)
+def _pruned_pairs(n):
+    """Each weight-5 code to the later ones at distance at least 5 from it."""
+    n5 = [x for x in range(1 << n) if weight(x) == 5]
+    return {a: [b for b in n5 if b > a and weight(a ^ b) >= 5] for a in n5}
 
 
 def _pruned_triples(n):
     """Every triple of weight-5 codes at pairwise distance at least 5."""
-    n5 = [x for x in range(1 << n) if weight(x) == 5]
-    later = {a: [b for b in n5 if b > a and weight(a ^ b) >= 5] for a in n5}
-    return [(a, b, c) for a in n5 for b in later[a] for c in later[b]
+    later = _pruned_pairs(n)
+    return [(a, b, c) for a in later for b in later[a] for c in later[b]
             if weight(a ^ c) >= 5]
 
 
 def _weight_rule(a, b, c):
     """The first collision kinds the pruned sweep counts a triple under."""
     return ("PPP", "XPP") if weight(a ^ b ^ c) >= 5 else ("XXP", "XPP")
-
-
-def test_first_collision_kind_on_every_pruned_triple_at_9():
-    """Every triple the pruned n=9 sweep counts, all of weight(a ^ b ^ c)
-    3, against the pattern oracle."""
-    triples = _pruned_triples(9)
-    assert len(triples) == 7560
-    assert {weight(a ^ b ^ c) for a, b, c in triples} == {3}
-    for t in triples:
-        assert _weight_rule(*t) == oracles.first_collision_kind(t, 9), t
 
 
 def test_weight_rule_on_sampled_pruned_triples_at_10():
@@ -173,9 +150,25 @@ def test_theorem4_matches_set_reference(n):
     assert theorem4_check(n) == oracles.theorem4_check(n)
 
 
+def _brute_force_pruned_report(n):
+    """The pruned min-parity report from the list of every triple the sweep
+    counts, each classified by the pattern oracle."""
+    later = _pruned_pairs(n)
+    triples = _pruned_triples(n)
+    kinds = [oracles.first_collision_kind(t, n) for t in triples]
+    fails = Counter("{}={}".format(*k) for k in kinds if k is not None)
+    covering = [t for t, k in zip(triples, kinds) if k is None]
+    return MinParityReport(n, True, len(later), sum(map(len, later.values())),
+                           len(triples), len(covering), dict(sorted(fails.items())),
+                           covering[0] if covering else None)
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_min_parity_matches_list_and_covering_references(n):
-    assert min_parity_search(n).to_json() == oracles.pruned_min_parity(n).to_json()
+    """The pruned report, field by field, against the brute-force one (at
+    n=9 every one of its 7,560 triples is classified by the pattern oracle),
+    and the unpruned report against the covering walk."""
+    assert min_parity_search(n) == _brute_force_pruned_report(n)
     assert (min_parity_search(n, pruned=False).to_json()
             == oracles.unpruned_min_parity(n).to_json())
 

@@ -257,11 +257,19 @@ def test_guided_refuses_data_counts_it_does_not_place(n, d):
         next(guided_search(n, d))
 
 
-@pytest.mark.parametrize("args", [(3, 3), (7, 5), (7, 3, SClass.parse("S_44^4")),
-                                  (7, 2, SClass.parse("S_447^433"))], ids=str)
-def test_guided_checks_its_arguments_at_the_call(args):
+REFUSED_AT_CALL = [(guided_search, (3, 3)), (guided_search, (7, 5)),
+                   (guided_search, (7, 3, SClass.parse("S_44^4"))),
+                   (guided_search, (7, 2, SClass.parse("S_447^433"))),
+                   (naive_search, (7, 5))]      # C(64, 5) tuples, over the budget
+
+
+@pytest.mark.parametrize("search, args", REFUSED_AT_CALL,
+                         ids=[str(a) if s is guided_search else f"{s.__name__}{a}"
+                              for s, a in REFUSED_AT_CALL])
+def test_guided_checks_its_arguments_at_the_call(search, args):
+    """Either search refuses bad arguments before it yields anything."""
     with pytest.raises(ValueError):
-        guided_search(*args)
+        search(*args)
 
 
 def _stream_pin(stream):

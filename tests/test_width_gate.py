@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from kmap_ecc.cli import NAIVE_TUPLE_BUDGET, main
+from kmap_ecc.cli import main
 from kmap_ecc.coverage import MAX_MIN_PARITY_WIDTH, MAX_THEOREM4_WIDTH
-from kmap_ecc.placement import Placement, SClass, _data_candidates
+from kmap_ecc.placement import NAIVE_TUPLE_BUDGET, Placement, SClass, _data_candidates
 from kmap_ecc.render import grid_to_csv, render_map
 
 #: The guided search's first hit at each width, for d = 3 where one exists,
