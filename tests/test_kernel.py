@@ -2,8 +2,8 @@
 
 `_collides`, `theorem4_check` and the min-parity walks decide syndrome
 collisions from data subsets alone; `oracles` lists every pattern and its
-syndrome instead.  The pruned sweep's weight rule and its whole report are
-checked against that listing.  The one bitset triple walk behind theorem 4,
+syndrome instead.  The pruned sweep's weight rule (on every n=9 triple) and
+its whole report are checked against that listing.  The one bitset triple walk behind theorem 4,
 the unpruned min-parity mode and the full-coverage search is also checked
 against the set- and covering-walk references it replaced.
 """
@@ -11,6 +11,7 @@ against the set- and covering-walk references it replaced.
 import math
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -68,6 +69,24 @@ def _pruned_triples(n):
 def _weight_rule(a, b, c):
     """The first collision kinds the pruned sweep counts a triple under."""
     return ("PPP", "XPP") if weight(a ^ b ^ c) >= 5 else ("XXP", "XPP")
+
+
+@lru_cache(maxsize=None)
+def _oracle_kinds(n):
+    """Every triple the pruned sweep counts, with its first collision kind
+    from the pattern oracle; listed once per width for the tests below."""
+    triples = _pruned_triples(n)
+    return triples, [oracles.first_collision_kind(t, n) for t in triples]
+
+
+def test_first_collision_kind_on_every_pruned_triple_at_9():
+    """Every triple the pruned n=9 sweep counts, all of weight(a ^ b ^ c)
+    3, against the pattern oracle."""
+    triples, kinds = _oracle_kinds(9)
+    assert len(triples) == 7560
+    assert {weight(a ^ b ^ c) for a, b, c in triples} == {3}
+    for t, kind in zip(triples, kinds):
+        assert _weight_rule(*t) == kind, t
 
 
 def test_weight_rule_on_sampled_pruned_triples_at_10():
@@ -154,8 +173,7 @@ def _brute_force_pruned_report(n):
     """The pruned min-parity report from the list of every triple the sweep
     counts, each classified by the pattern oracle."""
     later = _pruned_pairs(n)
-    triples = _pruned_triples(n)
-    kinds = [oracles.first_collision_kind(t, n) for t in triples]
+    triples, kinds = _oracle_kinds(n)
     fails = Counter("{}={}".format(*k) for k in kinds if k is not None)
     covering = [t for t, k in zip(triples, kinds) if k is None]
     return MinParityReport(n, True, len(later), sum(map(len, later.values())),
