@@ -40,14 +40,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_in(low: int, high: int | None = None, scope: str = ""):
+def _int_in(low: int, high: int | None = None):
     """argparse type for an integer in [low, high], unbounded above without
     `high`: map widths, data-bit counts, limits and sample counts."""
     def integer(text: str) -> int:
         k = int(text)
         if k < low or (high is not None and k > high):
             span = f"in [{low}, {high}]" if high is not None else f"at least {low}"
-            raise argparse.ArgumentTypeError(f"must be {span}{scope}, got {k}")
+            raise argparse.ArgumentTypeError(f"must be {span}, got {k}")
         return k
     return integer
 
@@ -406,12 +406,10 @@ def build_parser() -> _Parser:
     fmt(p, default="csv")
     p.set_defaults(fn=_cmd_coverage_census)
     p = vsub.add_parser("theorem4")
-    p.add_argument("--n", default=7,
-                   type=_int_in(MIN_WIDTH, coverage_mod.MAX_THEOREM4_WIDTH, " for theorem4"))
+    p.add_argument("--n", type=_WIDTH, default=7)
     p.set_defaults(fn=_cmd_coverage_theorem4)
     p = vsub.add_parser("minparity")
-    p.add_argument("--n", required=True,
-                   type=_int_in(MIN_WIDTH, coverage_mod.MAX_MIN_PARITY_WIDTH, " for minparity"))
+    p.add_argument("--n", type=_WIDTH, required=True)
     p.add_argument("--no-pruning", action="store_true",
                    help="drop the N_5 weight restriction and walk every code "
                         "(n=10 in well under a second)")

@@ -37,6 +37,10 @@ def _class_key(pat: ErrorPattern) -> str:
     return _CLASS_BY_DATA_COUNT[len(pat.data)]
 
 
+def _by_pattern(item: tuple[ErrorPattern, int]):
+    return item[0].sort_key()
+
+
 @dataclass(frozen=True)
 class CoverageReport:
     placement: Placement
@@ -87,8 +91,7 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
         for idx, s in _free_triples(p, taken):
             first.setdefault(s, idx)
         table = {s: _pattern(idx, p.d) for s, idx in first.items()}
-    covered = tuple(sorted(((pat, s) for s, pat in table.items()),
-                           key=lambda kv: kv[0].sort_key()))
+    covered = tuple(sorted(((pat, s) for s, pat in table.items()), key=_by_pattern))
     counts = Counter(_class_key(pat) for pat, _ in covered)
     return CoverageReport(p, mode, covered,
                           {k: counts.get(k, 0) for k in CLASS_KEYS}, len(covered))
@@ -180,16 +183,17 @@ def theorem4_check(n: int = 7) -> Theorem4Report:
     A P_lP_mP_n square is hit by a <=2-bit pattern exactly when a data bit
     of weight 2..4 or a data pair at distance 3 exists, so a valid trio
     survives iff each data subset D of at most two bits has
-    ``|D| + weight(XOR of D) >= 6``: weights >= 5, pairwise distance >= 4.
-    Such a trio is valid iff weight(a ^ b ^ c) >= 2.
+    ``|D| + weight(XOR of D) >= 6``, the kernel's rule at bound 6: weights
+    >= 5, pairwise distance >= 4.  Such a trio is valid iff weight(a ^ b ^ c)
+    >= 2, the rule at bound 5 for |D| = 3.
     """
     check_width(n)
     if n > MAX_THEOREM4_WIDTH:
-        raise ValueError(f"theorem 4 check supports widths 4..{MAX_THEOREM4_WIDTH}")
+        raise ValueError(f"theorem 4 check supports widths 4..{MAX_THEOREM4_WIDTH}, got {n}")
     codes = list(range(1 << n))    # one int object per code, however many survivors
-    heavy = [x for x in codes if not _collides((x,), n, 6)]
-    walk = _triples(heavy, lambda a, b: not _collides((a, b), n, 6), 1, n)
-    survivors = tuple((a, b, codes[c]) for a, b, _thirds, far in walk for c in _members(far))
+    heavy = [x for x in codes if x.bit_count() >= 5]
+    survivors = tuple((a, b, codes[c]) for a, b, _thirds, far in _triples(heavy, 4, 1, n)
+                      for c in _members(far))
     singles = len(_data_candidates(n))
     return Theorem4Report(n, not survivors, singles, math.comb(singles, 3), survivors)
 
@@ -229,26 +233,51 @@ class MinParityReport:
 
 def _check_min_parity_width(n: int) -> None:
     if not 4 <= n <= MAX_MIN_PARITY_WIDTH:
-        raise ValueError(f"min-parity search supports widths 4..{MAX_MIN_PARITY_WIDTH}")
+        raise ValueError(f"min-parity search supports widths 4..{MAX_MIN_PARITY_WIDTH}, got {n}")
 
 
 def min_parity_search(n: int, pruned: bool = True) -> MinParityReport:
     """Search for a 3-data placement whose map covers every <=3-bit error.
 
+    The unpruned mode walks the exact condition: a trio covers every error
+    iff each data subset D has ``|D| + weight(XOR of D) >= 7``, the
+    kernel's rule at bound 7: weights >= 6, pairwise distance >= 5 and
+    weight(X_1 ^ X_2 ^ X_3) >= 4.  It proves n=8 and n=9 infeasible
+    outright while n=10 admits covering placements, the first of which is
+    returned as witness.
+
     The pruned mode applies the stated necessary conditions literally: every
     X_i in N_5, pairwise distance at least 5 (an exact distance of 5 is
     parity-impossible between two weight-5 codes, so the bound reading is the
-    only one under which the conditions can be met at all).  All candidates
-    meeting them fail, counted by the kinds of the first colliding pattern
-    pair, which weight(X_1 ^ X_2 ^ X_3) alone decides.  The
-    unpruned mode drops the weight restriction and proves n=8 and n=9
-    infeasible outright while n=10 admits covering placements, the first of
-    which is returned as witness.
+    only one under which the conditions can be met at all).  Each X_i with
+    its five parities is then a weight-6 codeword, so every triple fails,
+    counted by the kinds of the first colliding pattern pair; a pair at
+    distance >= 5 gives a codeword of weight >= 7.  The trio's codeword has
+    odd weight 3 + weight(a ^ b ^ c), never 4: a ^ b ^ c of weight 1 would
+    put c at distance 4 from a or b, or outside N_5.  At weight 3 it is the
+    trio's weight-6 codeword that splits first, XXP=XPP; at weight >= 5 a
+    single data bit's, PPP=XPP.
     """
     _check_min_parity_width(n)
-    if pruned:
-        return _pruned_min_parity(n)
-    return _unpruned_min_parity(n)
+    singles = _n_class(5, n) if pruned else _covering_singles(n)
+    pairs = triples = far_count = 0
+    witness = None
+    for a, b, thirds, far in _triples(singles, 5, 3, n):
+        pairs += 1
+        triples += thirds.bit_count()
+        far_count += far.bit_count()
+        if far and witness is None:
+            witness = (a, b, next(_members(far)))
+    if not pruned:
+        return MinParityReport(n, False, len(singles), pairs, triples, far_count, {}, witness)
+    kinds = {"PPP=XPP": far_count, "XXP=XPP": triples - far_count}
+    return MinParityReport(n, True, len(singles), pairs, triples, 0,
+                           {k: v for k, v in kinds.items() if v}, None)
+
+
+def _covering_singles(n: int) -> list[int]:
+    """The codes of weight >= 6, those a covering trio may hold."""
+    return [x for x in range(1 << n) if x.bit_count() >= 6]
 
 
 def _members(mask: int):
@@ -259,23 +288,18 @@ def _members(mask: int):
         mask ^= low
 
 
-def _pair_masks(singles: Sequence[int], apart) -> dict[int, int]:
-    """Each single, ascending, to the bitset of the later singles b with
-    ``apart(a, b)``."""
-    return {a: sum(1 << b for b in singles if b > a and apart(a, b)) for a in singles}
-
-
-def _triples(singles: Sequence[int], apart, radius: int, n: int):
-    """Yield ``(a, b, thirds, far)`` for every pair a < b of `singles` with
-    ``apart(a, b)``, lexicographically.  `thirds` is the bitset of the
-    c > b apart from both; `far` holds those of them with
-    weight(a ^ b ^ c) > `radius`."""
-    mask = _pair_masks(singles, apart)
+def _triples(singles: Sequence[int], apart: int, radius: int, n: int):
+    """Yield ``(a, b, thirds, far)`` for every pair a < b of the ascending
+    `singles` at distance at least `apart`, lexicographically.  `thirds` is
+    the bitset of the c > b at distance at least `apart` from both; `far`
+    holds those of them with weight(a ^ b ^ c) > `radius`."""
+    later = {a: sum(1 << b for b in singles[i + 1:] if (a ^ b).bit_count() >= apart)
+             for i, a in enumerate(singles)}
     ball = [t for r in range(radius + 1) for t in _n_class(r, n)]
     outside: dict[int, int] = {}     # a ^ b -> the codes outside its ball
-    for a, partners in mask.items():
+    for a, partners in later.items():
         for b in _members(partners):
-            thirds = partners & mask[b]
+            thirds = partners & later[b]
             if not thirds:
                 yield a, b, 0, 0
                 continue
@@ -285,50 +309,12 @@ def _triples(singles: Sequence[int], apart, radius: int, n: int):
             yield a, b, thirds, thirds & outside[x]
 
 
-def _pruned_min_parity(n: int) -> MinParityReport:
-    """Each X_i with its five parities is a weight-6 codeword, so every
-    triple fails; a pair at distance >= 5 gives one of weight >= 7.  The
-    trio's codeword has odd weight 3 + weight(a ^ b ^ c), never 4: a ^ b ^ c
-    of weight 1 would put c at distance 4 from a or b, or outside N_5.  At
-    weight 3 it is the trio's weight-6 codeword that splits first, XXP=XPP;
-    at weight >= 5 a single data bit's, PPP=XPP."""
-    n5 = _n_class(5, n)
-    pairs = triples = heavy = 0
-    for _a, _b, thirds, far in _triples(n5, lambda a, b: (a ^ b).bit_count() >= 5, 3, n):
-        pairs += 1
-        triples += thirds.bit_count()
-        heavy += far.bit_count()
-    kinds = {"PPP=XPP": heavy, "XXP=XPP": triples - heavy}
-    return MinParityReport(n, True, len(n5), pairs, triples, 0,
-                           {k: v for k, v in kinds.items() if v}, None)
-
-
-def _covering(n: int):
-    """The unpruned walk: codes at distance >= 7 on their own and in pairs,
-    and as `far` the thirds that keep distance >= 7 as a triple."""
-    singles = [x for x in range(1 << n) if not _collides((x,), n, 7)]
-    return singles, _triples(singles, lambda a, b: not _collides((a, b), n, 7), 3, n)
-
-
-def _unpruned_min_parity(n: int) -> MinParityReport:
-    singles, walk = _covering(n)
-    pairs = triples = covering = 0
-    witness = None
-    for a, b, thirds, cover in walk:
-        pairs += 1
-        triples += thirds.bit_count()
-        covering += cover.bit_count()
-        if cover and witness is None:
-            witness = (a, b, next(_members(cover)))
-    return MinParityReport(n, False, len(singles), pairs, triples, covering, {}, witness)
-
-
 def full_coverage_search(n: int, limit: int = 1) -> list[Placement]:
     """First `limit` 3-data placements covering every <=3-bit error, unpruned,
     in lexicographic order, for the widths :func:`min_parity_search` takes."""
     _check_min_parity_width(n)
     out = []
-    for a, b, _thirds, cover in _covering(n)[1]:
+    for a, b, _thirds, cover in _triples(_covering_singles(n), 5, 3, n):
         for c in _members(cover):
             if len(out) >= limit:
                 return out

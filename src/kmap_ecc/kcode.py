@@ -31,6 +31,20 @@ def check_code(code: int, n: int) -> int:
     return code
 
 
+def _json_int(value, field: str) -> int:
+    """`value` if it is a JSON integer (a bool is not), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, field: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple, else ValueError."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ValueError(f"{field} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def weight(code: int) -> int:
     """Number of set bits; `code` lies in the weight class N_weight."""
     return code.bit_count()
@@ -169,7 +183,8 @@ class GrayLayout:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GrayLayout":
-        return cls(int(obj["n"]), tuple(obj["row_vars"]), tuple(obj["col_vars"]))
+        return cls(_json_int(obj["n"], "n"), _json_ints(obj["row_vars"], "row_vars"),
+                   _json_ints(obj["col_vars"], "col_vars"))
 
 
 class _Axis(NamedTuple):

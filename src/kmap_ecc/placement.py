@@ -17,7 +17,8 @@ from itertools import chain, combinations
 from operator import xor
 from typing import Iterator, Sequence
 
-from .kcode import check_code, check_width, n_class, parity_code, weight, _n_class
+from .kcode import (check_code, check_width, n_class, parity_code, weight,
+                    _json_int, _json_ints, _n_class)
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Footprint", "Collision",
@@ -154,7 +155,7 @@ class Placement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Placement":
-        return cls(int(obj["n"]), tuple(int(x) for x in obj["data"]))
+        return cls(_json_int(obj["n"], "n"), _json_ints(obj["data"], "data"))
 
 
 def _placement(n: int, data: tuple[int, ...]) -> Placement:

@@ -7,7 +7,7 @@ import io
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .kcode import GrayLayout, default_layout, gray_index
+from .kcode import GrayLayout, default_layout
 from .placement import ErrorPattern, Placement, forbidden_squares, require_valid
 from .codec import _covered_triples
 
@@ -143,10 +143,8 @@ def grid_from_csv(text: str, layout: GrayLayout) -> MapGrid:
         raise ValueError("grid CSV must start with header row,col,label")
     for rowbits, colbits, label in reader:
         r, c = row_at.get(rowbits), col_at.get(colbits)
-        if r is None or c is None:      # not labels the layout writes: read numbers
-            if len(rowbits) != len(layout.row_vars) or len(colbits) != len(layout.col_vars):
-                raise ValueError(f"cell ({rowbits}, {colbits}) does not fit the layout")
-            r, c = gray_index(int(rowbits, 2)), gray_index(int(colbits, 2))
+        if r is None or c is None:
+            raise ValueError(f"cell ({rowbits}, {colbits}) does not fit the layout")
         cells[r, c] = label
     return MapGrid(layout, cells)
 

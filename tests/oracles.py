@@ -9,9 +9,7 @@ the bitwise Gray-grid position, the grouping <=2-bit map, the
 per-cell map renderer and the formatted grid CSV writer and reader the
 valid-placement fast path and the layout tables replaced, the
 bit-at-a-time parity packing and syndrome fold the codec's byte tables
-replaced, side squares by a scan of every square of the map, and the
-set-based theorem 4 check and covering walk the one bitset triple walk
-replaced.
+replaced, and side squares by a scan of every square of the map.
 
 Each syndrome oracle lists error patterns and their syndromes outright,
 so it shares no reasoning with :func:`kmap_ecc.placement._collides` beyond
@@ -20,12 +18,10 @@ the codes of the parity bits.
 
 import csv
 import io
-import math
 from itertools import combinations
 
 from kmap_ecc.burst import BurstCensus, BurstGroup, Ordering, _allowed_thirds
-from kmap_ecc.coverage import MinParityReport, Theorem4Report
-from kmap_ecc.placement import ErrorPattern, Placement, _collides
+from kmap_ecc.placement import ErrorPattern
 
 
 def collides(data, n):
@@ -359,8 +355,7 @@ def grid_csv(layout, cells):
 
 def parse_grid_csv(text, layout):
     """The cells of grid CSV text, each label read as a binary number of
-    the axis width; raises ValueError as the grid reader does.  Labels must
-    not read as negative numbers."""
+    the axis width; raises ValueError as the grid reader does."""
     cells = {}
     reader = csv.reader(io.StringIO(text))
     if next(reader, None) != ["row", "col", "label"]:
@@ -418,73 +413,3 @@ def offsets12(n):
     """The n unit offsets, then the C(n, 2) offsets of weight 2."""
     units = [1 << b for b in range(n)]
     return tuple(units + [a ^ b for a, b in combinations(units, 2)])
-
-
-def theorem4_check(n):
-    """The theorem 4 report from sets of partners over `combinations`."""
-    singles = [x for x in range(1, 1 << n) if not _collides((x,), n)]
-    heavy = [x for x in singles if not _collides((x,), n, 6)]
-    apart = {a: {b for b in heavy if not _collides((a, b), n, 6)} for a in heavy}
-    survivors = tuple(
-        (a, b, c) for a, b, c in combinations(heavy, 3)
-        if b in apart[a] and c in apart[a] and c in apart[b]
-        and not _collides((a, b, c), n))
-    return Theorem4Report(n, not survivors, len(singles),
-                          math.comb(len(singles), 3), survivors)
-
-
-def _members(mask):
-    """Set bits of an int bitset, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _covering_walk(n):
-    """(mask, walk): each code at distance >= 7 on its own to the bitset
-    of the later codes it keeps distance >= 7 with, and every such pair
-    a < b with its `thirds` and the `covering` thirds c, whose
-    weight(a ^ b ^ c) >= 4, lexicographically."""
-    singles = [x for x in range(1 << n) if not _collides((x,), n, 7)]
-    mask = {a: sum(1 << b for b in singles if b > a and not _collides((a, b), n, 7))
-            for a in singles}
-    ball = [sum(bits) for r in range(4)
-            for bits in combinations([1 << k for k in range(n)], r)]
-    everything = (1 << (1 << n)) - 1
-
-    def walk():
-        far = {}
-        for a, partners in mask.items():
-            for b in _members(partners):
-                thirds = partners & mask[b]
-                x = a ^ b
-                if x not in far:
-                    far[x] = everything ^ sum(1 << (x ^ t) for t in ball)
-                yield a, b, thirds, thirds & far[x]
-    return mask, walk()
-
-
-def unpruned_min_parity(n):
-    """The unpruned min-parity report from the covering walk."""
-    mask, walk = _covering_walk(n)
-    triples = covering = 0
-    witness = None
-    for a, b, thirds, cover in walk:
-        triples += thirds.bit_count()
-        covering += cover.bit_count()
-        if cover and witness is None:
-            witness = (a, b, next(_members(cover)))
-    return MinParityReport(n, False, len(mask), sum(m.bit_count() for m in mask.values()),
-                           triples, covering, {}, witness)
-
-
-def full_coverage_search(n, limit):
-    """The first `limit` covering placements of the covering walk."""
-    out = []
-    for a, b, _thirds, cover in _covering_walk(n)[1]:
-        for c in _members(cover):
-            if len(out) >= limit:
-                return out
-            out.append(Placement(n, (a, b, c)))
-    return out

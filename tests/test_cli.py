@@ -171,15 +171,18 @@ def test_coverage_theorem4_past_width_9_is_usage_error(capsys, n):
     code, out, err = run_cli(capsys, "coverage", "theorem4", "--n", n)
     assert code == 1
     assert out == ""
-    assert "usage error" in err and "[4, 9] for theorem4" in err
+    assert "usage error: theorem 4 check supports widths 4..9" in err
 
 
 @pytest.mark.parametrize("n", ["3", "13"])
 def test_coverage_minparity_width_out_of_range_is_usage_error(capsys, n):
+    """A width off the map is refused as any --n is; one the sweep does not
+    take, by the library."""
     code, out, err = run_cli(capsys, "coverage", "minparity", "--n", n)
     assert code == 1
     assert out == ""
-    assert "usage error" in err and "[4, 12]" in err
+    span = "must be in [4, 16]" if n == "3" else "min-parity search supports widths 4..12"
+    assert "usage error" in err and span in err
 
 
 @pytest.mark.parametrize("n", ["3", "17"])
@@ -190,9 +193,7 @@ def test_width_out_of_range_is_usage_error(capsys, argv, n):
     code, out, err = run_cli(capsys, *argv, "--n", n)
     assert code == 1
     assert out == ""
-    # theorem 4 keeps every survivor, so it stops short of the map widths
-    span = "[4, 9]" if argv == ("coverage", "theorem4") else "[4, 16]"
-    assert "usage error" in err and span in err
+    assert "usage error" in err and "[4, 16]" in err
 
 
 @pytest.mark.parametrize("argv", [("search", "--d", "0"), ("search", "--d", "5"),
@@ -303,6 +304,23 @@ def test_render_layout_width_mismatch_is_usage_error(capsys, placement_files):
     assert code == 0 and out.startswith("rows s7 s5 s3 s1")
 
 
+@pytest.mark.parametrize("command, placement, extra", [
+    ("validate", {"n": 7, "data": "127"}, ()),
+    ("validate", {"n": 7, "data": [106.9, 86, 127]}, ()),
+    ("validate", {"n": 7, "data": [True, 86, 127]}, ()),
+    ("validate", {"n": 7.8, "data": [106, 86, 127]}, ()),
+    ("render", {"n": 7, "data": [106, 86, 127]},
+     ("--layout", json.dumps({"n": 7, "row_vars": [7.0, 5, 3, 1], "col_vars": [6, 4, 2]}))),
+], ids=["data-string", "data-float", "data-bool", "n-float", "layout-float"])
+def test_non_integer_json_is_usage_error(capsys, tmp_path, command, placement, extra):
+    """Placement and layout JSON hold integers only, never read as ints."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(placement))
+    code, out, err = run_cli(capsys, command, "--placement", str(path), *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ")
+
+
 @pytest.mark.parametrize("flag", [
     ("--forbidden-for", "1,2"),
     ("--layout", json.dumps({"n": 8, "row_vars": [8, 7, 5, 3], "col_vars": [6, 4, 2, 1]})),
@@ -340,9 +358,11 @@ def test_layout_with_an_empty_axis_is_usage_error(capsys, placement_files, tmp_p
     ("not a grid\n", "must start with header"),
     ("row,col,label\n0000000,000,X_1\n", "does not fit the layout"),
     ("row,col,label\n000,0000\n", "not enough values"),
-    ("row,col,label\n0201,000,X_1\n", "invalid literal"),
-    ("row,col,label\n0000,0a1,X_1\n", "invalid literal"),
-], ids=["header", "outside", "short-row", "not-binary", "not-binary-col"])
+    ("row,col,label\n0201,000,X_1\n", "does not fit the layout"),
+    ("row,col,label\n0000,0a1,X_1\n", "does not fit the layout"),
+    ("row,col,label\n0000,+01,X_1\n", "does not fit the layout"),
+    ("row,col,label\n0_01,001,X_1\n", "does not fit the layout"),
+], ids=["header", "outside", "short-row", "not-binary", "not-binary-col", "signed", "underscored"])
 def test_diff_bad_grid_is_usage_error(capsys, placement_files, tmp_path, text, reason):
     code, out, _ = run_cli(capsys, "render", "--format", "csv",
                            "--placement", placement_files["s445_433"])

@@ -1,11 +1,13 @@
-"""The minimum-distance kernel against the brute-force pattern oracles.
+"""The minimum-distance kernel and the triple walks against the
+brute-force pattern oracles.
 
-`_collides`, `theorem4_check` and the min-parity walks decide syndrome
-collisions from data subsets alone; `oracles` lists every pattern and its
-syndrome instead.  The pruned sweep's weight rule (on every n=9 triple) and
-its whole report are checked against that listing.  The one bitset triple walk behind theorem 4,
-the unpruned min-parity mode and the full-coverage search is also checked
-against the set- and covering-walk references it replaced.
+`_collides` decides syndrome collisions from data subsets, and the triple
+walks behind `theorem4_check`, the min-parity sweeps and the full-coverage
+search from weights and pair distances; `oracles` lists every pattern and
+its syndrome instead.  The pruned sweep's weight rule (on every n=9 triple)
+and its whole report, the unpruned report, the theorem-4 survivors and the
+first covering placements are each checked against such a listing, and
+pinned where listing is slow.
 """
 
 import math
@@ -18,10 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from kmap_ecc.coverage import (MinParityReport, full_coverage_search, min_parity_search,
-                               theorem4_check)
+from kmap_ecc.coverage import (MinParityReport, Theorem4Report, full_coverage_search,
+                               min_parity_search, theorem4_check)
 from kmap_ecc.kcode import weight
-from kmap_ecc.placement import _collides
+from kmap_ecc.placement import Placement, _collides
 
 W4PLUS = [x for x in range(128) if weight(x) >= 4]
 
@@ -112,17 +114,6 @@ def test_pruned_min_parity_pinned(n, pairs, triples, ppp, xxp):
     }
 
 
-def test_theorem4_survivors_match_brute_force():
-    for n in (6, 7):
-        singles = [x for x in range(1, 1 << n) if not oracles.collides((x,), n)]
-        expected = tuple(t for t in combinations(singles, 3)
-                         if oracles.theorem4_survives(t, n))
-        report = theorem4_check(n)
-        assert report.survivors == expected
-        assert report.singles_checked == len(singles)
-        assert report.triples_checked == math.comb(len(singles), 3)
-
-
 def test_theorem4_survivors_at_8():
     report = theorem4_check(8)
     assert not report.impossible
@@ -131,15 +122,18 @@ def test_theorem4_survivors_at_8():
         assert oracles.theorem4_survives(trio, 8)
 
 
+def _unpruned_report(n, candidates, pairs, triples, covering, witness):
+    return MinParityReport(n, False, candidates, pairs, triples, covering, {}, witness)
+
+
 def test_unpruned_min_parity_10_pinned():
-    assert min_parity_search(10, pruned=False).to_json() == {
-        "n": 10, "pruned": False, "weight_candidates": 386,
-        "pairs_meeting_conditions": 35805, "triples_meeting_conditions": 902825,
-        "covering_placements": 415800, "infeasible": False,
-        "failure_kinds": {}, "witness": [63, 455, 729],
-    }
+    """Also at n=11, the widest unpruned sweep any test runs."""
+    for n, counts in ((10, (386, 35805, 902825, 415800)),
+                      (11, (1024, 341880, 47132932, 36313200))):
+        assert min_parity_search(n, pruned=False) == _unpruned_report(n, *counts, (63, 455, 729))
 
 
+@lru_cache(maxsize=None)
 def _first_covering_triples(n, k):
     """Lexicographic walk over code triples, decided by the pattern oracle."""
     singles = [x for x in range(1 << n) if oracles.first_collision_kind((x,), n) is None]
@@ -157,16 +151,35 @@ def _first_covering_triples(n, k):
 
 
 def test_full_coverage_search_is_the_lexicographic_prefix():
-    expected = _first_covering_triples(10, 40)
-    assert len(expected) == 40
+    expected = _first_covering_triples(10, 200)
     for k in (1, 7, 40):
         assert [p.data for p in full_coverage_search(10, limit=k)] == expected[:k]
     assert full_coverage_search(9, limit=5) == []
 
 
+def test_full_coverage_search_matches_covering_reference():
+    expected = _first_covering_triples(10, 200)
+    assert len(expected) == 200
+    assert full_coverage_search(10, limit=200) == [Placement(10, t) for t in expected]
+
+
+def _brute_force_theorem4_report(n):
+    """The theorem-4 report from the pattern oracle: every valid single is
+    counted, and each triple of surviving codes whose pairs survive is
+    listed when it survives too, lexicographically."""
+    singles = [x for x in range(1, 1 << n) if not oracles.collides((x,), n)]
+    alive = [x for x in singles if oracles.theorem4_survives((x,), n)]
+    later = {a: [b for b in alive if b > a and oracles.theorem4_survives((a, b), n)]
+             for a in alive}
+    survivors = tuple((a, b, c) for a in later for b in later[a] for c in later[b]
+                      if c in later[a] and oracles.theorem4_survives((a, b, c), n))
+    return Theorem4Report(n, not survivors, len(singles), math.comb(len(singles), 3), survivors)
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_theorem4_matches_set_reference(n):
-    assert theorem4_check(n) == oracles.theorem4_check(n)
+    """The whole report against the survivor set the pattern oracle lists."""
+    assert theorem4_check(n) == _brute_force_theorem4_report(n)
 
 
 def _brute_force_pruned_report(n):
@@ -181,15 +194,27 @@ def _brute_force_pruned_report(n):
                            covering[0] if covering else None)
 
 
+def _brute_force_unpruned_report(n):
+    """The unpruned min-parity report from the pattern oracle: the codes
+    and pairs that keep every <=3-bit syndrome distinct, the triples of
+    such codes whose pairs all do, and those that do themselves."""
+    def clean(data):
+        return oracles.first_collision_kind(data, n) is None
+    singles = [x for x in range(1 << n) if clean((x,))]
+    later = {a: [b for b in singles if b > a and clean((a, b))] for a in singles}
+    triples = [(a, b, c) for a in later for b in later[a] for c in later[b] if c in later[a]]
+    covering = [t for t in triples if clean(t)]
+    return _unpruned_report(n, len(singles), sum(map(len, later.values())), len(triples),
+                            len(covering), covering[0] if covering else None)
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_min_parity_matches_list_and_covering_references(n):
     """The pruned report, field by field, against the brute-force one (at
     n=9 every one of its 7,560 triples is classified by the pattern oracle),
-    and the unpruned report against the covering walk."""
+    and the unpruned report against the covering listing, pinned at n=9,
+    where listing takes 1.7 s."""
     assert min_parity_search(n) == _brute_force_pruned_report(n)
-    assert (min_parity_search(n, pruned=False).to_json()
-            == oracles.unpruned_min_parity(n).to_json())
-
-
-def test_full_coverage_search_matches_covering_reference():
-    assert full_coverage_search(10, limit=200) == oracles.full_coverage_search(10, 200)
+    unpruned = (_unpruned_report(9, 130, 2100, 2800, 0, None) if n == 9
+                else _brute_force_unpruned_report(n))
+    assert min_parity_search(n, pruned=False) == unpruned

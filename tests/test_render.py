@@ -140,17 +140,12 @@ def test_fixture_csv_bytes(refs, fixture_dir, name, ref, kwargs):
             == list(oracles.parse_grid_csv(text, grid.layout).items()))
 
 
-def test_grid_csv_numeric_labels_read_as_before():
-    # labels a layout never writes but int(..., 2) reads take the old path
+def test_grid_csv_labels_the_layout_never_writes_are_refused():
+    # a w-bit axis writes all 2^w binary strings, so any other spelling is refused
     lay = default_layout(7)
-    for text in ("row,col,label\n0000,+01,X_1\n", "row,col,label\n0_01,001,X_1\n",
-                 "row,col,label\n 011, 11,P_1\n"):
-        assert grid_from_csv(text, lay).cells == oracles.parse_grid_csv(text, lay)
-
-
-def test_grid_csv_negative_label_is_rejected():
-    with pytest.raises(ValueError, match="non-negative"):
-        grid_from_csv("row,col,label\n0000,-01,X_1\n", default_layout(7))
+    for cell in ("0000,+01", "0_01,001", " 011, 11", "0000,-01", "0100,0010"):
+        with pytest.raises(ValueError, match="does not fit the layout"):
+            grid_from_csv(f"row,col,label\n{cell},X_1\n", lay)
 
 
 @st.composite
