@@ -4,12 +4,12 @@ analysis and burst-safe transmission orderings."""
 from .kcode import (GrayLayout, default_layout, distance, n_class,
                     parities, parity_code, side_squares, weight)
 from .placement import (BLESSED_PAIR_SITUATIONS, Collision, ErrorPattern,
-                        Footprint, OccupiedResult, Placement, PlacementError,
-                        SClass, SearchStats, X3_DOUBLE_WEIGHT_TABLE,
-                        collisions, double_weight_count, forbidden_squares,
-                        guided_search, is_valid, naive_search, occupied_map,
-                        parity_footprint, permute_bits, reference_placements,
-                        theorem1_overlap, theorem2_overlap, triple_classes)
+                        OccupiedResult, Placement, PlacementError, SClass,
+                        SearchStats, X3_DOUBLE_WEIGHT_TABLE,
+                        double_weight_count, forbidden_squares, guided_search,
+                        is_valid, naive_search, occupied_map, permute_bits,
+                        reference_placements, theorem1_overlap,
+                        theorem2_overlap, triple_classes)
 from .codec import (CodecTables, Codeword, DecodeReport, build_tables,
                     covered_triples, decode, encode, inject, iter_patterns,
                     syndrome)
@@ -19,7 +19,6 @@ from .coverage import (CENSUS_FAMILIES, CoverageReport, MinParityReport,
 from .burst import (BurstCensus, BurstGroup, Ordering, burst_triples,
                     failing_window, is_burst_safe, search_orderings)
 from .render import (CellDiff, MapGrid, diff_grids, grid_from_csv,
-                     grid_to_csv, grid_to_json, grid_to_text,
-                     occupied_from_grid, render_map)
+                     grid_to_csv, grid_to_json, grid_to_text, render_map)
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ __all__ = ["Ordering", "burst_triples", "is_burst_safe", "failing_window",
 
 BURST_LENGTH = 3
 
-#: Most states the ordering search may memoize (the first n=9 map needs 94,326).
+#: Most states the ordering search may memoize (the first n=9 map needs 88,230).
 BURST_STATE_BUDGET = 100_000
 
 _SYM = re.compile(r"([XP])_?(\d+)$")
@@ -41,13 +41,6 @@ class Ordering:
     @property
     def label(self) -> str:
         return ",".join(f"{k}{i}" for k, i in self.symbols)
-
-    def reversed_(self) -> "Ordering":
-        return Ordering(self.symbols[::-1])
-
-    @property
-    def data_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, (kind, _) in enumerate(self.symbols) if kind == "X")
 
     def check_complete(self, d: int, n: int) -> "Ordering":
         want = {("X", i) for i in range(1, d + 1)} | {("P", k) for k in range(1, n + 1)}
@@ -127,7 +120,8 @@ def _census(m: int, allowed: list[int], d: int) -> tuple:
     """The orderings of 0..m-1 whose windows of three are all allowed, as
     (key, (count, least ordering)) per data key, the (position, bit) pairs
     of the bits below d.  A memoized DFS on the last two bits and the unused
-    ones, which fix the depth; the start (0, 0, all) allows any first two."""
+    ones, which fix the depth; the start (0, 0, all) allows any first two.
+    A dead end, a state with no allowed next bit, is not memoized."""
     memo: dict[int, tuple] = {}
 
     def walk(a: int, b: int, unused: int) -> tuple:
@@ -135,12 +129,15 @@ def _census(m: int, allowed: list[int], d: int) -> tuple:
             return (((), (1, ())),)
         state = (a * m + b) << m | unused
         if state not in memo:
+            depth = m - unused.bit_count()
+            nexts = unused & allowed[a * m + b] if depth > 1 else unused
+            if not nexts:
+                return ()
             if len(memo) >= BURST_STATE_BUDGET:
                 raise ValueError(f"burst search over {m} code bits would walk more "
                                  f"than its budget of {BURST_STATE_BUDGET:,} states")
-            depth = m - unused.bit_count()
             out: dict[tuple, tuple] = {}
-            for c in _members(unused & allowed[a * m + b] if depth > 1 else unused):
+            for c in _members(nexts):
                 for key, (count, rest) in walk(b, c, unused ^ 1 << c):
                     key = ((depth, c),) + key if c < d else key
                     e = out.get(key)

@@ -17,7 +17,14 @@ MIN_WIDTH = 4
 MAX_WIDTH = 16
 
 
+def _check_int(value, what: str) -> None:
+    """ValueError unless `value` is an int; a bool or a float is not."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def check_width(n: int) -> int:
+    _check_int(n, "map width")
     if not MIN_WIDTH <= n <= MAX_WIDTH:
         raise ValueError(f"map width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {n}")
     return n
@@ -26,23 +33,10 @@ def check_width(n: int) -> int:
 def check_code(code: int, n: int) -> int:
     """Validate that `code` is an n-bit K-code; doubles as the width-mismatch guard."""
     check_width(n)
+    _check_int(code, "K-code")
     if not 0 <= code < (1 << n):
         raise ValueError(f"code {code} does not fit a {n}-bit map")
     return code
-
-
-def _json_int(value, field: str) -> int:
-    """`value` if it is a JSON integer (a bool is not), else ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _json_ints(value, field: str) -> tuple[int, ...]:
-    """A JSON list of integers as a tuple, else ValueError."""
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
-        raise ValueError(f"{field} must be a list of integers, got {value!r}")
-    return tuple(value)
 
 
 def weight(code: int) -> int:
@@ -107,17 +101,6 @@ def gray(i: int) -> int:
     return i ^ (i >> 1)
 
 
-def gray_index(g: int) -> int:
-    """Inverse of gray(): the position of codeword g in the sequence."""
-    if g < 0:
-        raise ValueError(f"a Gray codeword is non-negative, got {g}")
-    i = 0
-    while g:
-        i ^= g
-        g >>= 1
-    return i
-
-
 @dataclass(frozen=True)
 class GrayLayout:
     """Assignment of parity variables to the two Gray-ordered grid axes.
@@ -134,6 +117,10 @@ class GrayLayout:
 
     def __post_init__(self):
         check_width(self.n)
+        object.__setattr__(self, "row_vars", tuple(self.row_vars))
+        object.__setattr__(self, "col_vars", tuple(self.col_vars))
+        for k in self.row_vars + self.col_vars:
+            _check_int(k, "layout variable")
         if sorted(self.row_vars + self.col_vars) != list(range(1, self.n + 1)):
             raise ValueError("row_vars and col_vars must partition 1..n")
         if not self.row_vars or not self.col_vars:
@@ -164,27 +151,12 @@ class GrayLayout:
         rows, cols = self._axes
         return rows.codes[row] | cols.codes[col]
 
-    def row_bits(self, row: int) -> str:
-        return format(gray(row), f"0{len(self.row_vars)}b")
-
-    def col_bits(self, col: int) -> str:
-        return format(gray(col), f"0{len(self.col_vars)}b")
-
-    @property
-    def row_order(self) -> tuple[str, ...]:
-        return self._axes[0].labels
-
-    @property
-    def col_order(self) -> tuple[str, ...]:
-        return self._axes[1].labels
-
     def to_json(self) -> dict:
         return {"n": self.n, "row_vars": list(self.row_vars), "col_vars": list(self.col_vars)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GrayLayout":
-        return cls(_json_int(obj["n"], "n"), _json_ints(obj["row_vars"], "row_vars"),
-                   _json_ints(obj["col_vars"], "col_vars"))
+        return cls(obj["n"], obj["row_vars"], obj["col_vars"])
 
 
 class _Axis(NamedTuple):
@@ -192,7 +164,7 @@ class _Axis(NamedTuple):
 
     mask: int                   # the axis's parity bits
     codes: tuple[int, ...]      # position -> the code's bits over the axis
-    labels: tuple[str, ...]     # position -> Gray label, as row_bits/col_bits
+    labels: tuple[str, ...]     # position -> Gray label over the axis width
     index: dict[int, int]       # code & mask -> position
     by_label: dict[str, int]    # label -> position
 

@@ -17,14 +17,12 @@ from itertools import chain, combinations
 from operator import xor
 from typing import Iterator, Sequence
 
-from .kcode import (check_code, check_width, n_class, parity_code, weight,
-                    _json_int, _json_ints, _n_class)
+from .kcode import check_code, check_width, n_class, parity_code, weight, _n_class
 
 __all__ = [
-    "ErrorPattern", "Placement", "SClass", "Footprint", "Collision",
+    "ErrorPattern", "Placement", "SClass", "Collision",
     "OccupiedResult", "PlacementError", "SearchStats",
-    "occupied_map", "collisions", "is_valid",
-    "parity_footprint", "double_weight_count",
+    "occupied_map", "is_valid", "double_weight_count",
     "theorem1_overlap", "theorem2_overlap", "forbidden_squares",
     "guided_search", "MAX_GUIDED_D", "naive_search", "NAIVE_TUPLE_BUDGET",
     "permute_bits",
@@ -138,7 +136,7 @@ class Placement:
 
     def __post_init__(self):
         check_width(self.n)
-        object.__setattr__(self, "data", tuple(int(x) for x in self.data))
+        object.__setattr__(self, "data", tuple(self.data))
         for x in self.data:
             check_code(x, self.n)
 
@@ -155,7 +153,7 @@ class Placement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Placement":
-        return cls(_json_int(obj["n"], "n"), _json_ints(obj["data"], "data"))
+        return cls(obj["n"], obj["data"])
 
 
 def _placement(n: int, data: tuple[int, ...]) -> Placement:
@@ -219,20 +217,8 @@ class SClass:
         return all(0 <= v <= n for v in self.weights + self.distances)
 
 
-@dataclass(frozen=True)
-class Footprint:
-    """Squares an entity occupies plus its order-1/order-2 side squares."""
-
-    occupied: frozenset[int]
-    sides: frozenset[int]
-
-    @property
-    def all(self) -> frozenset[int]:
-        return self.occupied | self.sides
-
-
 # ---------------------------------------------------------------------------
-# side squares and footprints
+# side squares and double weights
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -243,18 +229,17 @@ def _offsets12(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8)
-def parity_footprint(n: int) -> Footprint:
-    """Zero square, all P_k and P_kP_m squares, and every P_k side square."""
-    offsets = _offsets12(n)
-    occupied = {0, *offsets}
-    sides = {u ^ t for u in offsets[:n] for t in offsets}
-    return Footprint(frozenset(occupied), frozenset(sides - occupied))
+def _low_weight(n: int) -> frozenset[int]:
+    """The squares the parity structure occupies or flanks: the zero square,
+    every P_k and P_kP_m, and their side squares, which are the codes of
+    weight <= 3."""
+    return frozenset(chain.from_iterable(_n_class(w, n) for w in range(4)))
 
 
 def _flanked(codes: Sequence[int], n: int) -> set[int]:
-    """The parity footprint plus every code in `codes` and its side squares."""
+    """The parity structure's squares plus each code in `codes` and its sides."""
     offsets = _offsets12(n)
-    out = set(parity_footprint(n).all)
+    out = set(_low_weight(n))
     for x in codes:
         out.add(x)
         out.update(x ^ t for t in offsets)
@@ -291,6 +276,8 @@ def theorem2_overlap(a: int, b: int, n: int) -> int:
         raise ValueError("theorem2_overlap requires weights differing by exactly 1")
     if (a ^ b).bit_count() != 3:
         raise ValueError("theorem2_overlap requires Hamming distance exactly 3")
+    check_code(a, n)
+    check_code(b, n)
     offsets = _offsets12(n)
     return len({a ^ t for t in offsets} & {b ^ t for t in offsets})
 
@@ -379,10 +366,6 @@ def occupied_map(p: Placement) -> OccupiedResult:
         if len(claims) > 1
     )
     return OccupiedResult(p, None, clashes)
-
-
-def collisions(p: Placement) -> tuple[Collision, ...]:
-    return occupied_map(p).collisions
 
 
 def is_valid(p: Placement) -> bool:
@@ -569,9 +552,10 @@ def guided_search(
     bitsets over the class's codes: those at the class distance from X_1,
     and from X_2.  Each code of X_3's weight still counts as one candidate
     per valid pair, in ascending order, as if tried in turn.  X_4 skips the
-    trio's flanked set (parity footprint, trio, their side squares) and its
-    pairs' forbidden squares, a pre-filter cheaper than the kernel, then tries
-    the rest by descending count of side squares landing in that set.
+    trio's flanked set (the codes of weight <= 3, the trio and its side
+    squares) and its pairs' forbidden squares, a pre-filter cheaper than the
+    kernel, then tries the rest by descending count of side squares landing
+    in that set.
     Every emitted placement passes :func:`is_valid`; emission order is
     deterministic.  Passing `sclass` pins the first three data bits to that
     descriptor (blessed or not), which is how census representatives for

@@ -8,12 +8,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .kcode import GrayLayout, default_layout
-from .placement import ErrorPattern, Placement, forbidden_squares, require_valid
+from .placement import Placement, forbidden_squares, require_valid
 from .codec import _covered_triples
 
 __all__ = ["MapGrid", "CellDiff", "render_map", "diff_grids",
            "grid_to_text", "grid_to_csv", "grid_to_json", "grid_from_csv",
-           "occupied_from_grid", "ZERO_LABEL", "FORBIDDEN_MARK"]
+           "ZERO_LABEL", "FORBIDDEN_MARK"]
 
 ZERO_LABEL = "N"
 FORBIDDEN_MARK = "f"
@@ -147,15 +147,3 @@ def grid_from_csv(text: str, layout: GrayLayout) -> MapGrid:
             raise ValueError(f"cell ({rowbits}, {colbits}) does not fit the layout")
         cells[r, c] = label
     return MapGrid(layout, cells)
-
-
-def occupied_from_grid(grid: MapGrid) -> dict[int, ErrorPattern]:
-    """Parse the labels back into the syndrome -> pattern map ("f" marks skipped)."""
-    out = {}
-    lay = grid.layout
-    for r, c, label in grid.sorted_cells():
-        if label == FORBIDDEN_MARK:
-            continue
-        code = lay.from_grid(r, c)
-        out[code] = ErrorPattern() if label == ZERO_LABEL else ErrorPattern.parse(label)
-    return out

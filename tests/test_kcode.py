@@ -1,15 +1,18 @@
-"""Syndrome-code algebra and Gray-grid layout."""
+"""Syndrome-code algebra, Gray-grid layout and the package's exports."""
 
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kmap_ecc
 import oracles
 from kmap_ecc.kcode import (GrayLayout, default_layout, distance, from_parities,
-                            gray, gray_index, n_class, parities, parity_code,
+                            gray, n_class, parities, parity_code,
                             side_squares, weight)
 
 
@@ -118,9 +121,9 @@ def test_default_layout_splits():
 
 
 def test_gray_sequences_differ_by_one():
-    lay = default_layout(7)
-    assert lay.col_order == ("000", "001", "011", "010", "110", "111", "101", "100")
-    for order in (lay.row_order, lay.col_order):
+    rows, cols = default_layout(7)._axes
+    assert cols.labels == ("000", "001", "011", "010", "110", "111", "101", "100")
+    for order in (rows.labels, cols.labels):
         for a, b in zip(order, order[1:] + order[:1]):
             assert sum(x != y for x, y in zip(a, b)) == 1
 
@@ -134,8 +137,8 @@ def test_reference_grid_position():
     lay = default_layout(7)
     x1 = from_parities([2, 4, 6, 7])
     r, c = lay.to_grid(x1)
-    assert lay.row_bits(r) == "1000"
-    assert lay.col_bits(c) == "111"
+    assert format(gray(r), "04b") == "1000"
+    assert format(gray(c), "03b") == "111"
 
 
 def test_grid_round_trip_exhaustive():
@@ -181,18 +184,15 @@ def test_layout_round_trip_random_splits(n, data):
     assert lay.from_grid(*lay.to_grid(code)) == code
 
 
-def test_gray_index_inverts_gray():
-    for i in range(256):
-        assert gray_index(gray(i)) == i
-
-
-def test_gray_index_rejects_negative():
-    with pytest.raises(ValueError, match="non-negative"):
-        gray_index(-1)
-
-
 def test_bad_layout_rejected():
     with pytest.raises(ValueError):
         GrayLayout(7, (7, 5, 3), (6, 4, 2))   # missing 1
     with pytest.raises(ValueError):
         default_layout(3)
+
+
+def test_every_export_is_defined():
+    for info in pkgutil.iter_modules(kmap_ecc.__path__):
+        module = importlib.import_module(f"kmap_ecc.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"kmap_ecc.{info.name} exports undefined {missing}"

@@ -14,13 +14,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from kmap_ecc.coverage import CENSUS_FAMILIES
-from kmap_ecc.kcode import from_parities, weight
+from kmap_ecc.kcode import GrayLayout, from_parities, weight
 from kmap_ecc.placement import (BLESSED_PAIR_SITUATIONS, ErrorPattern,
                                 Placement, SClass, SearchStats,
-                                X3_DOUBLE_WEIGHT_TABLE, collisions,
-                                double_weight_count, forbidden_squares,
-                                guided_search, is_valid, naive_search,
-                                occupied_map, parity_footprint, permute_bits,
+                                X3_DOUBLE_WEIGHT_TABLE, double_weight_count,
+                                forbidden_squares, guided_search, is_valid,
+                                naive_search, occupied_map, permute_bits,
                                 reference_placements, theorem1_overlap,
                                 theorem2_overlap, triple_classes, _offsets12)
 
@@ -108,25 +107,17 @@ def test_close_pair_invalid():
 def test_reference_placements_valid(refs):
     for p in refs.values():
         assert is_valid(p)
-        assert not collisions(p)
+        assert not occupied_map(p).collisions
 
 
-# --- footprints and double-weight counts ---
+# --- side-square offsets and double-weight counts ---
 
 @pytest.mark.parametrize("n", range(4, 17))
 def test_offsets12_match_combinations_build(n):
     offsets, reference = _offsets12(n), oracles.offsets12(n)
     assert len(offsets) == len(set(offsets)) == len(reference)
     assert set(offsets) == set(reference)
-    assert offsets[:n] == reference[:n]     # the units, which parity_footprint slices
-
-
-def test_parity_footprint_is_low_weight_region():
-    for n in (4, 7, 12, 16):
-        fp = parity_footprint(n)
-        assert fp.all == frozenset(x for x in range(1 << n) if weight(x) <= 3)
-        assert fp.occupied == frozenset(x for x in range(1 << n) if weight(x) <= 2)
-        assert not fp.occupied & fp.sides
+    assert offsets[:n] == reference[:n]     # the units first
 
 
 def test_single_counts_by_weight_class():
@@ -205,6 +196,8 @@ def test_theorem2_precondition():
     b = from_parities([1, 2, 5, 6])
     with pytest.raises(ValueError):
         theorem2_overlap(a, b, 7)
+    with pytest.raises(ValueError, match="does not fit a 4-bit map"):
+        theorem2_overlap(0b11110000, 0b11100011, 4)
 
 
 def test_theorem3_xor_square_keeps_distance_2():
@@ -450,6 +443,18 @@ def test_search_determinism():
 def test_placement_json_round_trip(refs):
     p = refs["s447_433"]
     assert Placement.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: Placement(7, (106.9, 86, True)), "106.9"),
+    (lambda: Placement(7.5, (106,)), "7.5"),
+    (lambda: GrayLayout(7, (7.0, 5, 3, 1), (6, 4, 2)), "7.0"),
+    (lambda: Placement(7, (106, 86, True)), "True"),
+], ids=["data-float", "width-float", "layout-float", "data-bool"])
+def test_non_integer_values_are_refused(make, bad):
+    """The value types take ints only: a float or a bool is never truncated."""
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad}$"):
+        make()
 
 
 def test_sclass_labels():
