@@ -20,6 +20,8 @@ __all__ = [
 
 
 _BITS = frozenset((0, 1))
+# The int of each common form of a data bit; True and 1.0 are keys equal to 1.
+_BIT_VALUE = {0: 0, 1: 1, "0": 0, "1": 1}
 
 # Parity bits are packed and unpacked a byte at a time: the low-bit-first
 # bits of each byte, and each bit tuple of length <= 8 back to its mask.
@@ -94,6 +96,14 @@ def _bits(mask: int, n: int) -> tuple[int, ...]:
     return _BYTE_BITS[mask & 255] + _BYTE_BITS[mask >> 8][:n - 8]
 
 
+def _mask(bits: Sequence[int]) -> int:
+    """The mask of low-bit-first 0/1 int `bits` of any length, the inverse
+    of :func:`_bits`, folded a byte at a time."""
+    if len(bits) <= 8:
+        return _BITS_MASK[bits]
+    return _BITS_MASK[bits[:8]] | _mask(bits[8:]) << 8
+
+
 def _parity_mask(data_bits: Sequence[int], p: Placement, odd_parity: bool) -> int:
     mask = 0
     for bit, code in zip(data_bits, p.data):
@@ -104,13 +114,23 @@ def _parity_mask(data_bits: Sequence[int], p: Placement, odd_parity: bool) -> in
     return mask
 
 
+def _data_bit(b) -> int:
+    """The int of a data bit given as anything ``int`` reads exactly as 0 or
+    1; "x" and None keep ``int``'s own errors, and 0.5 is not truncated."""
+    x = int(b)
+    if x not in _BITS or x != b and not isinstance(b, str):
+        raise ValueError("codeword bits must be 0 or 1")
+    return x
+
+
 def encode(data_bits: Sequence[int], p: Placement, odd_parity: bool = False) -> Codeword:
     """Even parity: P_k is the XOR of the data bits whose code sets bit k."""
     if len(data_bits) != p.d:
         raise ValueError(f"expected {p.d} data bits, got {len(data_bits)}")
-    data = tuple(map(int, data_bits))
-    if not _BITS.issuperset(data):
-        raise ValueError("codeword bits must be 0 or 1")
+    try:
+        data = tuple(map(_BIT_VALUE.__getitem__, data_bits))
+    except (KeyError, TypeError):
+        data = tuple(map(_data_bit, data_bits))
     return _word(data, _bits(_parity_mask(data, p, odd_parity), p.n))
 
 
@@ -118,11 +138,7 @@ def syndrome(word: Codeword, p: Placement, odd_parity: bool = False) -> int:
     """Received parity XOR recomputed parity; zero iff all checks pass."""
     if len(word.data) != p.d or len(word.parity) != p.n:
         raise ValueError("codeword shape does not match placement")
-    s = _parity_mask(word.data, p, odd_parity)
-    parity = word.parity
-    if p.n <= 8:
-        return s ^ _BITS_MASK[parity]
-    return s ^ _BITS_MASK[parity[:8]] ^ _BITS_MASK[parity[8:]] << 8
+    return _parity_mask(word.data, p, odd_parity) ^ _mask(word.parity)
 
 
 def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
@@ -198,18 +214,28 @@ def _covered_triples(p: Placement, taken: Container[int]) -> dict[int, ErrorPatt
     return {s: _pattern(idx, d) for s, idx in first.items() if claims[s] == 1}
 
 
+# A table memoizes at most this many corrected words: every codeword up to
+# d = 11 at both parities, and a bounded few of a wide-d code's 2^(d+1).
+_WORDS_CAP = 4096
+
+
 @dataclass(frozen=True)
 class CodecTables:
     """Immutable decoding tables: nonzero syndrome -> correctable pattern.
 
-    ``_reports`` memoizes the "corrected" :class:`DecodeReport` of each
-    square on its first decode; it is not part of the value.
+    Two memos, filled by :func:`decode` and not part of the value:
+    ``_squares`` maps each nonzero syndrome decoded so far to its
+    :class:`DecodeReport` and its pattern's data flip mask (None for an
+    uncorrectable square); ``_words`` maps (corrected data mask, odd
+    parity) to the corrected :class:`Codeword`, up to ``_WORDS_CAP`` words.
     """
 
     placement: Placement
     decode: Mapping[int, ErrorPattern]
     include_triples: bool
-    _reports: dict[int, "DecodeReport"] = field(
+    _squares: dict[int, tuple["DecodeReport", int | None]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _words: dict[tuple[int, bool], Codeword] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -244,14 +270,27 @@ _CLEAN = DecodeReport("clean", 0, None)
 def decode(word: Codeword, tables: CodecTables,
            odd_parity: bool = False) -> tuple[Codeword, DecodeReport]:
     """Correct the received word if its syndrome is assigned; an unassigned
-    nonzero syndrome reports detected-uncorrectable and leaves the word as is."""
+    nonzero syndrome reports detected-uncorrectable and leaves the word as is.
+
+    Every correction lands on a codeword, which its data bits and parity
+    sense fix, so a repeated square or corrected word is read from the
+    tables' memos instead of built again."""
     s = syndrome(word, tables.placement, odd_parity)
     if s == 0:
         return word, _CLEAN
-    pat = tables.decode.get(s)
-    if pat is None:
-        return word, DecodeReport("uncorrectable", s, None)
-    report = tables._reports.get(s)
-    if report is None:
-        report = tables._reports[s] = DecodeReport("corrected", s, pat)
-    return inject(word, pat), report
+    square = tables._squares.get(s)
+    if square is None:
+        pat = tables.decode.get(s)
+        square = tables._squares[s] = (
+            (DecodeReport("uncorrectable", s, None), None) if pat is None
+            else (DecodeReport("corrected", s, pat), pat._data_mask))
+    report, flips = square
+    if flips is None:
+        return word, report
+    key = (_mask(word.data) ^ flips, bool(odd_parity))
+    fixed = tables._words.get(key)
+    if fixed is None:
+        fixed = inject(word, report.pattern)
+        if len(tables._words) < _WORDS_CAP:
+            tables._words[key] = fixed
+    return fixed, report

@@ -91,6 +91,14 @@ class ErrorPattern:
     def _key(self):
         return (tuple(sorted(self.data)), tuple(sorted(self.parities)))
 
+    @cached_property
+    def _data_mask(self) -> int:
+        """The data bits it flips as a mask, X_i at bit i - 1."""
+        mask = 0
+        for i in self.data:
+            mask |= 1 << i - 1
+        return mask
+
     def syndrome(self, placement: "Placement") -> int:
         d, n = placement.d, placement.n
         if max(self.data, default=0) > d or max(self.parities, default=0) > n:
@@ -136,6 +144,10 @@ class Placement:
 
     def __post_init__(self):
         check_width(self.n)
+        # a text or byte string iterates, but as characters or bytes, not codes
+        if isinstance(self.data, (str, bytes, bytearray)) or not hasattr(self.data, "__iter__"):
+            raise ValueError(f"placement data must be a sequence of K-codes, "
+                             f"got {self.data!r}")
         object.__setattr__(self, "data", tuple(self.data))
         for x in self.data:
             check_code(x, self.n)

@@ -321,6 +321,15 @@ def test_non_integer_json_is_usage_error(capsys, tmp_path, command, placement, e
     assert err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("data", [127, "127"], ids=repr)
+def test_placement_data_that_is_no_sequence_is_named(capsys, tmp_path, data):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 7, "data": data}))
+    code, out, err = run_cli(capsys, "validate", "--placement", str(path))
+    assert (code, out) == (1, "")
+    assert f"placement data must be a sequence of K-codes, got {data!r}" in err
+
+
 @pytest.mark.parametrize("flag", [
     ("--forbidden-for", "1,2"),
     ("--layout", json.dumps({"n": 8, "row_vars": [8, 7, 5, 3], "col_vars": [6, 4, 2, 1]})),

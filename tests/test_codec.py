@@ -1,6 +1,7 @@
 """Encoder, syndromes and table-driven decoding."""
 
 import math
+import random
 from itertools import product
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from kmap_ecc.codec import (Codeword, build_tables, covered_triples, decode,
-                            encode, inject, iter_patterns, syndrome, _BITS_MASK, _bits)
+                            encode, inject, iter_patterns, syndrome, _BITS_MASK, _WORDS_CAP,
+                            _bits)
 from kmap_ecc.kcode import from_parities, parities, weight
 from kmap_ecc.placement import (ErrorPattern, Placement, PlacementError,
                                 guided_search, is_valid)
@@ -58,7 +60,7 @@ def test_encode_and_decode_keep_their_errors(refs):
     p = refs["s447_433"]
     with pytest.raises(ValueError, match="expected 3 data bits, got 2"):
         encode([0, 1], p)
-    for bad in ([2, 0, 0], [0, "-1", 0], [0, 0, 3.0]):
+    for bad in ([2, 0, 0], [0, "-1", 0], [0, 0, 3.0], [0.5, 1, 0], [1.9, 0, 0]):
         with pytest.raises(ValueError, match="codeword bits must be 0 or 1"):
             encode(bad, p)
     with pytest.raises(ValueError, match="invalid literal"):
@@ -339,6 +341,45 @@ def test_tables_equality_and_repr_ignore_report_memo(refs):
     p = refs["s447_433"]
     used, fresh = build_tables(p, include_triples=True), build_tables(p, include_triples=True)
     decode(inject(encode([0, 1, 1], p), ErrorPattern.of(data=(1,))), used)
-    assert used._reports and not fresh._reports
+    assert used._squares and used._words and not fresh._squares and not fresh._words
     assert used == fresh
     assert repr(used) == repr(fresh)
+
+
+@pytest.mark.parametrize("name", ["s447_433+triples", "witness_10+triples"])
+def test_memoized_decodes_match_brute_force_oracle(refs, name):
+    """One table decodes every received word, alternating the parity sense
+    word by word, as the brute-force decoder does; it keeps at most one word
+    per codeword and a report for every uncorrectable square."""
+    p, triples = ORACLE_CODES[name](refs)
+    tables = build_tables(p, include_triples=triples)
+    table = oracles.decode_table(p, triples)
+    for k, bits in enumerate(product((0, 1), repeat=p.d + p.n)):
+        odd = k % 2 == 1
+        fixed, report = decode(Codeword.from_bits(bits, p.d), tables, odd_parity=odd)
+        assert ((report.status, report.syndrome, report.pattern, fixed.bits)
+                == oracles.decode(bits, p, table, odd))
+    assert len(tables._words) <= 2 ** (p.d + 1)
+    unassigned = set(range(1, 1 << p.n)) - tables.decode.keys()
+    assert unassigned <= tables._squares.keys()
+    assert {tables._squares[s][0].status for s in unassigned} == {"uncorrectable"}
+
+
+def test_corrected_word_memo_stops_at_its_cap():
+    """A wide-d code decodes correctly past the memo's cap of 4,096 words."""
+    data = ()
+    for code in range(1, 1 << 16):
+        if len(data) == 14:
+            break
+        if is_valid(Placement(16, data + (code,))):
+            data += (code,)
+    p = Placement(16, data)
+    tables = build_tables(p)
+    rng = random.Random(19)
+    for k in range(_WORDS_CAP + 500):
+        bits = [rng.randrange(2) for _ in range(p.d)]
+        odd = k % 2 == 1
+        flip = ErrorPattern.of(data=(rng.randrange(1, p.d + 1),))
+        fixed, report = decode(inject(encode(bits, p, odd), flip), tables, odd_parity=odd)
+        assert (report.status, report.pattern, fixed) == ("corrected", flip, encode(bits, p, odd))
+    assert len(tables._words) == _WORDS_CAP

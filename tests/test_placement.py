@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from itertools import islice
@@ -455,6 +456,14 @@ def test_non_integer_values_are_refused(make, bad):
     """The value types take ints only: a float or a bool is never truncated."""
     with pytest.raises(ValueError, match=f"must be an integer, got {bad}$"):
         make()
+
+
+@pytest.mark.parametrize("data", ["127", b"12", 127], ids=repr)
+def test_placement_data_must_be_a_sequence_of_codes(data):
+    """A string is not read character by character, nor bytes byte by byte."""
+    with pytest.raises(ValueError, match="^placement data must be a sequence of K-codes, "
+                                         f"got {re.escape(repr(data))}$"):
+        Placement(7, data)
 
 
 def test_sclass_labels():
