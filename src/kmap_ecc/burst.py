@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from .coverage import CoverageReport, _members
+from .coverage import CoverageReport
+from .kcode import _members
 from .placement import ErrorPattern
 
 __all__ = ["Ordering", "burst_triples", "is_burst_safe", "failing_window",

@@ -177,11 +177,8 @@ def _cmd_coverage_report(args) -> int:
 def _cmd_coverage_census(args) -> int:
     rows = coverage_mod.census(n=args.n, mode=args.mode, full=args.full,
                                threads=args.threads)
-    table = [(r.family, r.sclass, r.realizable, r.total,
-              r.counts.get("XXP", 0), r.counts.get("PPP", 0),
-              r.counts.get("XPP", 0), r.counts.get("XXX", 0)) for r in rows]
-    _emit_rows(table, ["family", "class", "realizable", "total",
-                       "XXP", "PPP", "XPP", "XXX"], args.format)
+    header = ["family", "class", "realizable", "total", *coverage_mod.CLASS_KEYS]
+    _emit_rows([[r.to_json()[k] for k in header] for r in rows], header, args.format)
     return EXIT_OK
 
 

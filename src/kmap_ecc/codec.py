@@ -7,6 +7,7 @@ order is a separate concern handled by orderings in the burst module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Container, Iterator, Mapping, Sequence
 
 from .placement import (ErrorPattern, Placement, require_valid, _index_patterns,
@@ -249,12 +250,13 @@ class CodecTables:
 def build_tables(p: Placement, include_triples: bool = False) -> CodecTables:
     """Decoding tables for every 1- and 2-bit pattern, optionally extended with
     the covered triples; raises PlacementError (with the collision report) on
-    an invalid placement."""
+    an invalid placement.  The table is a read-only view, since
+    :func:`decode`'s memos would go on answering for an edited square."""
     table = require_valid(p)
     triples = _covered_triples(p, table) if include_triples else {}
     del table[0]
     table.update(triples)
-    return CodecTables(p, table, include_triples)
+    return CodecTables(p, MappingProxyType(table), include_triples)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .kcode import check_width, _n_class
+from .kcode import check_width, _codes, _members, _n_class
 from .placement import (ErrorPattern, Placement, SClass, guided_search,
                         require_valid, triple_classes, _collides,
-                        _data_candidates, _index_patterns, _pattern)
+                        _index_patterns, _pattern)
 from .codec import _covered_triples, _free_triples
 
 __all__ = [
@@ -191,10 +191,10 @@ def theorem4_check(n: int = 7) -> Theorem4Report:
     if n > MAX_THEOREM4_WIDTH:
         raise ValueError(f"theorem 4 check supports widths 4..{MAX_THEOREM4_WIDTH}, got {n}")
     codes = list(range(1 << n))    # one int object per code, however many survivors
-    heavy = [x for x in codes if x.bit_count() >= 5]
-    survivors = tuple((a, b, codes[c]) for a, b, _thirds, far in _triples(heavy, 4, 1, n)
+    survivors = tuple((a, b, codes[c])
+                      for a, b, _thirds, far in _triples(_codes(5, n, n), 4, 1, n)
                       for c in _members(far))
-    singles = len(_data_candidates(n))
+    singles = len(_codes(4, n, n))
     return Theorem4Report(n, not survivors, singles, math.comb(singles, 3), survivors)
 
 
@@ -259,7 +259,7 @@ def min_parity_search(n: int, pruned: bool = True) -> MinParityReport:
     single data bit's, PPP=XPP.
     """
     _check_min_parity_width(n)
-    singles = _n_class(5, n) if pruned else _covering_singles(n)
+    singles = _n_class(5, n) if pruned else _codes(6, n, n)
     pairs = triples = far_count = 0
     witness = None
     for a, b, thirds, far in _triples(singles, 5, 3, n):
@@ -275,19 +275,6 @@ def min_parity_search(n: int, pruned: bool = True) -> MinParityReport:
                            {k: v for k, v in kinds.items() if v}, None)
 
 
-def _covering_singles(n: int) -> list[int]:
-    """The codes of weight >= 6, those a covering trio may hold."""
-    return [x for x in range(1 << n) if x.bit_count() >= 6]
-
-
-def _members(mask: int):
-    """Set bits of an int bitset, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _triples(singles: Sequence[int], apart: int, radius: int, n: int):
     """Yield ``(a, b, thirds, far)`` for every pair a < b of the ascending
     `singles` at distance at least `apart`, lexicographically.  `thirds` is
@@ -295,7 +282,7 @@ def _triples(singles: Sequence[int], apart: int, radius: int, n: int):
     holds those of them with weight(a ^ b ^ c) > `radius`."""
     later = {a: sum(1 << b for b in singles[i + 1:] if (a ^ b).bit_count() >= apart)
              for i, a in enumerate(singles)}
-    ball = [t for r in range(radius + 1) for t in _n_class(r, n)]
+    ball = _codes(0, radius, n)
     outside: dict[int, int] = {}     # a ^ b -> the codes outside its ball
     for a, partners in later.items():
         for b in _members(partners):
@@ -314,7 +301,7 @@ def full_coverage_search(n: int, limit: int = 1) -> list[Placement]:
     in lexicographic order, for the widths :func:`min_parity_search` takes."""
     _check_min_parity_width(n)
     out = []
-    for a, b, _thirds, cover in _triples(_covering_singles(n), 5, 3, n):
+    for a, b, _thirds, cover in _triples(_codes(6, n, n), 5, 3, n):
         for c in _members(cover):
             if len(out) >= limit:
                 return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 MIN_WIDTH = 4
@@ -82,6 +82,22 @@ def n_class(m: int, n: int) -> tuple[int, ...]:
 def _n_class(m: int, n: int) -> tuple[int, ...]:
     """:func:`n_class` of a checked (m, n): at most 17 x 13 classes."""
     return tuple(sorted(sum(1 << b for b in bits) for bits in combinations(range(n), m)))
+
+
+@lru_cache(maxsize=None)
+def _codes(lo: int, hi: int, n: int) -> tuple[int, ...]:
+    """The n-bit codes of weight lo..hi, ascending: the searches' candidate
+    tables, built once per range from the weight classes (a few ranges per
+    width, at most 2^16 codes each)."""
+    return tuple(sorted(chain.from_iterable(_n_class(w, n) for w in range(lo, hi + 1))))
+
+
+def _members(mask: int):
+    """Set bits of an int bitset, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def side_squares(code: int, order: int, n: int) -> tuple[int, ...]:

@@ -17,7 +17,8 @@ from itertools import chain, combinations
 from operator import xor
 from typing import Iterator, Sequence
 
-from .kcode import check_code, check_width, n_class, parity_code, weight, _n_class
+from .kcode import (check_code, check_width, n_class, parity_code, weight,
+                    _codes, _members, _n_class)
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Collision",
@@ -240,18 +241,11 @@ def _offsets12(n: int) -> tuple[int, ...]:
     return n_class(1, n) + n_class(2, n)
 
 
-@lru_cache(maxsize=8)
-def _low_weight(n: int) -> frozenset[int]:
-    """The squares the parity structure occupies or flanks: the zero square,
-    every P_k and P_kP_m, and their side squares, which are the codes of
-    weight <= 3."""
-    return frozenset(chain.from_iterable(_n_class(w, n) for w in range(4)))
-
-
 def _flanked(codes: Sequence[int], n: int) -> set[int]:
-    """The parity structure's squares plus each code in `codes` and its sides."""
+    """The squares the parity structure occupies or flanks (the codes of weight
+    <= 3: 0, each P_k and P_kP_m, and their sides) plus each of `codes` and its sides."""
     offsets = _offsets12(n)
-    out = set(_low_weight(n))
+    out = set(_codes(0, 3, n))
     for x in codes:
         out.add(x)
         out.update(x ^ t for t in offsets)
@@ -430,6 +424,7 @@ def require_valid(p: Placement) -> dict[int, ErrorPattern]:
 #: Pair situations the guided algorithm starts from: weights of X_1 and X_2
 #: plus their distance.  Each yields the maximal pairwise double-weight total.
 BLESSED_PAIR_SITUATIONS = ((4, 4, 4), (4, 5, 3), (5, 4, 3), (5, 5, 4))
+_PAIR_CLASSES = tuple(SClass((w1, w2), (dist,)) for w1, w2, dist in BLESSED_PAIR_SITUATIONS)
 
 #: Reference double-weight totals of X_3 by class, the placement heuristic's
 #: priority data.  Every class is verified exhaustively by the test suite;
@@ -482,17 +477,6 @@ class SearchStats:
     placements_emitted: int = 0
 
 
-def _weight_class(w: int | None, n: int) -> tuple[int, ...]:
-    """:func:`n_class`, or no codes for a weight no n-bit code has."""
-    return n_class(w, n) if w in range(n + 1) else ()
-
-
-@lru_cache(maxsize=8)
-def _data_candidates(n: int) -> tuple[int, ...]:
-    """Codes a data bit may occupy at all: weight >= 4 (forced by validity)."""
-    return tuple(sorted(x for x in range(1 << n) if weight(x) >= 4))
-
-
 def naive_search(n: int, d: int, stats: SearchStats | None = None) -> Iterator[Placement]:
     """Baseline: every ascending weight->=4 tuple, filtered by the oracle.
 
@@ -500,7 +484,7 @@ def naive_search(n: int, d: int, stats: SearchStats | None = None) -> Iterator[P
     walk more than :data:`NAIVE_TUPLE_BUDGET` tuples is refused at the call.
     """
     check_width(n)
-    tuples = math.comb(len(_data_candidates(n)), d)
+    tuples = math.comb(len(_codes(4, n, n)), d)
     if tuples > NAIVE_TUPLE_BUDGET:
         raise ValueError(f"naive search at n={n}, d={d} would walk {tuples:,} "
                          f"candidate tuples, over its budget of {NAIVE_TUPLE_BUDGET:,}")
@@ -508,19 +492,11 @@ def naive_search(n: int, d: int, stats: SearchStats | None = None) -> Iterator[P
 
 
 def _naive_search(n: int, d: int, stats: SearchStats) -> Iterator[Placement]:
-    for combo in combinations(_data_candidates(n), d):
+    for combo in combinations(_codes(4, n, n), d):
         stats.candidates_evaluated += 1
         if not _collides(combo, n):
             stats.placements_emitted += 1
             yield _placement(n, combo)
-
-
-def _pairs_of_situation(n: int, w1: int, w2: int, dist: int) -> Iterator[tuple[int, int]]:
-    c2 = _weight_class(w2, n)
-    for x1 in _weight_class(w1, n):
-        for x2 in c2:
-            if x2 != x1 and (x1 ^ x2).bit_count() == dist:
-                yield x1, x2
 
 
 @lru_cache(maxsize=8)
@@ -533,12 +509,12 @@ def triple_classes(n: int) -> tuple[tuple[SClass, int], ...]:
     realizability and the count are permutation-invariant.
     """
     found: dict[tuple, int] = {}
-    for w1, w2, dist in BLESSED_PAIR_SITUATIONS:
-        pair = next(_pairs_of_situation(n, w1, w2, dist), None)
+    for cls in _PAIR_CLASSES:
+        pair = next(_class_pinned_search(n, 2, cls, SearchStats()), None)
         if pair is None:
             continue
-        x1, x2 = pair
-        for x3 in range(1 << n):
+        (x1, x2), (w1, w2), (dist,) = pair.data, cls.weights, cls.distances
+        for x3 in _codes(4, n, n):      # a lighter X_3 always collides
             key = ((w1, w2, weight(x3)),
                    (dist, (x1 ^ x3).bit_count(), (x2 ^ x3).bit_count()))
             if key not in found and not _collides((x1, x2, x3), n):
@@ -590,29 +566,23 @@ def _guided_search(n: int, d: int, sclass: SClass | None,
         return
 
     if d == 1:
-        for x1 in sorted(_weight_class(4, n) + _weight_class(5, n)):
+        for x1 in _codes(4, 5, n):
             stats.candidates_evaluated += 1
             stats.placements_emitted += 1
             yield _placement(n, (x1,))
         return
 
-    if d == 2:
-        for w1, w2, dist in BLESSED_PAIR_SITUATIONS:
-            for x1, x2 in _pairs_of_situation(n, w1, w2, dist):
-                stats.candidates_evaluated += 1
-                if not _collides((x1, x2), n):
-                    stats.placements_emitted += 1
-                    yield _placement(n, (x1, x2))
-        return
-
-    for cls, _count in triple_classes(n):
+    classes = ([cls for cls in _PAIR_CLASSES if cls.fits(n)] if d == 2
+               else [cls for cls, _count in triple_classes(n)])
+    for cls in classes:
         yield from _class_pinned_search(n, d, cls, stats)
 
 
 def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Iterator[Placement]:
-    w1, w2, w3 = (cls.weights + (None, None, None))[:3]
+    # a class of fewer data bits pads with weight 0, whose codes go unread
+    w1, w2, w3 = (cls.weights + (0, 0))[:3]
     d12, d13, d23 = (cls.distances + (None, None, None))[:3]
-    c1, c2, c3 = (_weight_class(w, n) for w in (w1, w2, w3))
+    c1, c2, c3 = (_n_class(w, n) for w in (w1, w2, w3))
     if d == 1:
         # a lone X_1 is valid iff its weight is at least 4
         for x1 in c1:
@@ -655,11 +625,8 @@ def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Ite
                 ring2 = rings2[x2] = ring(x2, d23)
             # X_3 at the class distances from both; the counter advances
             # over c3 as the candidate-by-candidate walk would
-            both, x12, counted = ring1 & ring2, x1 ^ x2, 0
-            while both:
-                low = both & -both
-                both ^= low
-                i = low.bit_length() - 1
+            x12, counted = x1 ^ x2, 0
+            for i in _members(ring1 & ring2):
                 x3 = c3[i]
                 if (x12 ^ x3).bit_count() <= 1:     # {X_1, X_2, X_3} collides
                     continue
@@ -677,7 +644,7 @@ def _extend_with_x4(n: int, trio: tuple[int, int, int], stats: SearchStats) -> I
     flanked = _flanked(trio, n)
     blocked = flanked.union(*(forbidden_squares(a, b, n) for a, b in combinations(trio, 2)))
     candidates = []
-    for x4 in _data_candidates(n):
+    for x4 in _codes(4, n, n):
         stats.candidates_evaluated += 1
         if x4 not in blocked:
             candidates.append((-_landings(x4, flanked, n), x4))

@@ -346,6 +346,20 @@ def test_tables_equality_and_repr_ignore_report_memo(refs):
     assert repr(used) == repr(fresh)
 
 
+def test_decode_table_is_read_only(refs):
+    """An edited square would leave decode's memos answering for it."""
+    p = refs["s447_433"]
+    tables = build_tables(p, include_triples=True)
+    word = inject(encode([0, 1, 1], p), ErrorPattern.of(data=(1,)))
+    _, report = decode(word, tables)
+    with pytest.raises(TypeError):
+        del tables.decode[report.syndrome]
+    with pytest.raises(TypeError):
+        tables.decode[report.syndrome] = None
+    assert tables.decode[report.syndrome] == report.pattern
+    assert tables == build_tables(p, include_triples=True)
+
+
 @pytest.mark.parametrize("name", ["s447_433+triples", "witness_10+triples"])
 def test_memoized_decodes_match_brute_force_oracle(refs, name):
     """One table decodes every received word, alternating the parity sense

@@ -1,10 +1,13 @@
 """Syndrome-code algebra, Gray-grid layout and the package's exports."""
 
+import ast
 import importlib
 import itertools
 import math
 import pkgutil
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,3 +199,44 @@ def test_every_export_is_defined():
         module = importlib.import_module(f"kmap_ecc.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"kmap_ecc.{info.name} exports undefined {missing}"
+
+
+def _reads(node) -> set[str]:
+    """Every variable and attribute name `node` reads."""
+    return ({sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)})
+
+
+def _bound(stmt) -> list[str]:
+    """The module-level names a top-level statement binds."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_source_has_no_dead_module_names():
+    """The check a linter would make: each module-level import is read by its
+    module (or exported), and each module-level private name is read outside
+    its own definition somewhere in the package.  The package's own
+    ``__init__`` imports are its exports."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(kmap_ecc.__file__).parent.glob("*.py"))}
+    reads = {module: [_reads(stmt) for stmt in tree.body] for module, tree in trees.items()}
+    in_module = {module: Counter(itertools.chain.from_iterable(r)) for module, r in reads.items()}
+    in_package = sum(in_module.values(), Counter())
+    dead = []
+    for module, tree in trees.items():
+        exported = set(getattr(importlib.import_module(f"kmap_ecc.{module}"), "__all__", ()))
+        for stmt, here in zip(tree.body, reads[module]):
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                if module != "__init__" and getattr(stmt, "module", "") != "__future__":
+                    dead += [f"{module}: import {name}" for name in _bound(stmt)
+                             if name not in exported and not in_module[module][name]]
+                continue
+            dead += [f"{module}: {name}" for name in _bound(stmt)
+                     if name.startswith("_") and not name.startswith("__")
+                     and in_package[name] == (name in here)]
+    assert not dead

@@ -297,6 +297,50 @@ def test_guided_stream_pinned(key):
     assert stats.placements_emitted == count
 
 
+#: n -> (classes, SHA-256 of their "label count" lines), taken from the
+#: walk that tried every n-bit X_3 over a pair of each blessed situation.
+TRIPLE_CLASS_PINS = {
+    4: (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    5: (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    6: (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    7: (24, "f5c535f8fde3c526487e6433b7af164bdef8b3c27117b263adc157a89636603d"),
+    8: (80, "e472a394059f9a9d3656315d1a1b8e54212dd51806fb5546a2a0db688877604e"),
+    9: (152, "80ba7a57b290a37e3ac2948101f4cdef4ce1257d19d49f93ebd77056fc4b0894"),
+    10: (230, "7a19e756d0d421d3ed01fff91eb69d7b83668684a655f46c20a8e964324bbfe9"),
+    11: (309, "0357b7f3951b33186cea5e9be02f6cbd441e5aaa4d1297357cf654aeaced76d0"),
+    12: (388, "9a3959a02a0fe22246e45707aa9d56ec6862eae4db884f8cd39ff158fd63c7d5"),
+}
+
+
+@pytest.mark.parametrize("n", TRIPLE_CLASS_PINS)
+def test_triple_classes_pinned(n):
+    rows = triple_classes(n)
+    text = "".join(f"{cls.label} {count}\n" for cls, count in rows)
+    assert (len(rows), hashlib.sha256(text.encode()).hexdigest()) == TRIPLE_CLASS_PINS[n]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_unguided_pairs_are_the_blessed_class_streams(n):
+    """The unguided d=2 search emits each blessed pair class's pinned stream
+    in turn and counts what they count; a class with a weight past n, which
+    the pinned search refuses, adds nothing."""
+    stats = SearchStats()
+    got = [p.data for p in guided_search(n, 2, stats=stats)]
+    want, total = [], 0
+    for w1, w2, dist in BLESSED_PAIR_SITUATIONS:
+        cls = SClass((w1, w2), (dist,))
+        if not cls.fits(n):
+            with pytest.raises(ValueError, match="outside"):
+                guided_search(n, 2, sclass=cls)
+            continue
+        pinned = SearchStats()
+        want += [p.data for p in guided_search(n, 2, sclass=cls, stats=pinned)]
+        total += pinned.candidates_evaluated
+    assert got == want
+    assert stats.candidates_evaluated == total
+    assert stats.placements_emitted == len(got)
+
+
 #: Classes the guided search cannot realize: X_3 of weight 3, X_3 within
 #: distance 2 of X_1 or X_2, a pair within distance 2, X_1 of weight 3, and
 #: for 2 data bits a pair within distance 2, X_1 of weight 3 and a distance

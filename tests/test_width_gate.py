@@ -15,7 +15,7 @@ import pytest
 
 from kmap_ecc.cli import main
 from kmap_ecc.coverage import MAX_MIN_PARITY_WIDTH, MAX_THEOREM4_WIDTH
-from kmap_ecc.placement import NAIVE_TUPLE_BUDGET, Placement, SClass, _data_candidates
+from kmap_ecc.placement import NAIVE_TUPLE_BUDGET, Placement, SClass
 from kmap_ecc.render import grid_to_csv, render_map
 
 #: The guided search's first hit at each width, for d = 3 where one exists,
@@ -30,7 +30,8 @@ def _first_hit(n: int) -> Placement:
 
 def _naive_exit(n: int, d: int) -> int:
     """A naive walk over its tuple budget is refused."""
-    return 1 if math.comb(len(_data_candidates(n)), d) > NAIVE_TUPLE_BUDGET else 0
+    candidates = sum(1 for x in range(1 << n) if x.bit_count() >= 4)
+    return 1 if math.comb(candidates, d) > NAIVE_TUPLE_BUDGET else 0
 
 
 def _runs(p: Placement, path: str, grid: str):
