@@ -1,14 +1,18 @@
 """Encoder, syndrome computation and table-driven decoding for a placement.
 
 Memory bit order of a codeword is (data bits, then P_1..P_n); transmission
-order is a separate concern handled by orderings in the burst module.
+order is a separate concern handled by orderings in the burst module.  A
+codeword is held as one int in that order, low bit first, so a syndrome is
+a parity read and an XOR, and a flip one XOR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Container, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .placement import (ErrorPattern, Placement, require_valid, _index_patterns,
                         _pattern)
@@ -23,20 +27,21 @@ __all__ = [
 _BITS = frozenset((0, 1))
 # The int of each common form of a data bit; True and 1.0 are keys equal to 1.
 _BIT_VALUE = {0: 0, 1: 1, "0": 0, "1": 1}
-
-# Parity bits are packed and unpacked a byte at a time: the low-bit-first
-# bits of each byte, and each bit tuple of length <= 8 back to its mask.
-_BYTE_BITS = tuple(tuple(b >> k & 1 for k in range(8)) for b in range(256))
-_BITS_MASK = {bits[:w]: b for w in range(9) for b, bits in enumerate(_BYTE_BITS[:1 << w])}
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
-@dataclass(frozen=True)
 class Codeword:
-    data: tuple[int, ...]
-    parity: tuple[int, ...]
+    """A word of d data and n parity bits, held as one int: X_i at bit
+    i - 1 and P_k at bit d + k - 1.
 
-    def __post_init__(self):
-        bits = self.data + self.parity
+    A value: ``data``, ``parity`` and the int ``word`` are read-only, and
+    a codeword equals, and hashes as, only a codeword of the same bits.
+    """
+
+    __slots__ = ("_word", "_d", "_n")
+
+    def __init__(self, data: Sequence[int], parity: Sequence[int]):
+        bits = data + parity
         try:
             ok = _BITS.issuperset(bits)
         except TypeError:
@@ -44,19 +49,39 @@ class Codeword:
             ok = False  # an unhashable member is no bit
         if not ok:
             raise ValueError("codeword bits must be 0 or 1")
-        # a bit given as True or 1.0 is stored as the int it equals
-        object.__setattr__(self, "data", tuple(map(int, self.data)))
-        object.__setattr__(self, "parity", tuple(map(int, self.parity)))
+        self._word, self._d, self._n = _fold(bits), len(data), len(parity)
+
+    word = property(attrgetter("_word"), doc="The bits as one int.")
+
+    @property
+    def data(self) -> tuple[int, ...]:
+        return self.bits[:self._d]
+
+    @property
+    def parity(self) -> tuple[int, ...]:
+        return self.bits[self._d:]
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return self.data + self.parity
+        """The bits, X_1 first, each the int 0 or 1."""
+        return tuple(self._word >> k & 1 for k in range(self._d + self._n))
+
+    def __eq__(self, other):
+        if type(other) is not Codeword:
+            return NotImplemented
+        return (self._word, self._d, self._n) == (other._word, other._d, other._n)
+
+    def __hash__(self):
+        return hash((self._word, self._d, self._n))
+
+    def __repr__(self):
+        return f"Codeword(data={self.data!r}, parity={self.parity!r})"
 
     def binary(self) -> str:
         return "".join(map(str, self.bits))
 
     def hex(self) -> str:
-        width = (len(self.bits) + 3) // 4
+        width = (self._d + self._n + 3) // 4
         return format(int(self.binary(), 2), f"0{width}x")
 
     @classmethod
@@ -66,53 +91,51 @@ class Codeword:
 
     @classmethod
     def from_string(cls, text: str, d: int, n: int) -> "Codeword":
-        """Parse a binary string of exactly d+n chars, else a hex string."""
-        text = text.strip().lower().removeprefix("0x")
+        """Parse exactly d+n binary digits, X_1 first, else hex digits with an
+        optional 0x prefix, whose value is that binary string's."""
+        text = text.strip().lower()
         total = d + n
-        if len(text) == total and not set(text) - {"0", "1"}:
-            word = text
-        else:
-            word = format(int(text, 16), f"0{total}b")
-            if len(word) > total:
-                raise ValueError(f"word {text!r} does not fit {total} bits")
-        return cls.from_bits([int(c) for c in word], d)
+        if len(text) != total or set(text) - {"0", "1"}:
+            digits = text.removeprefix("0x")
+            if not digits or not _HEX_DIGITS.issuperset(digits):
+                raise ValueError(f"word {text!r} is neither {total} binary digits nor hex")
+            text = format(int(digits, 16), f"0{total}b")
+            if len(text) > total:
+                raise ValueError(f"word {digits!r} does not fit {total} bits")
+        return _codeword(int(text[::-1], 2), d, n)
 
 
-def _word(data: tuple[int, ...], parity: tuple[int, ...]) -> Codeword:
-    """A :class:`Codeword` of two tuples whose members are already the ints
-    0 and 1, without checking them again; equal to ``Codeword(data,
-    parity)``.  The fields are set as the dataclass's own ``__init__`` sets
-    them, as ``placement._placement`` does."""
-    w = object.__new__(Codeword)
-    object.__setattr__(w, "data", data)
-    object.__setattr__(w, "parity", parity)
+_new = object.__new__
+
+
+def _codeword(word: int, d: int, n: int) -> Codeword:
+    """The :class:`Codeword` of int `word` with d data and n parity bits,
+    which fits them, without the constructor's check of each bit."""
+    w = _new(Codeword)
+    w._word, w._d, w._n = word, d, n
     return w
 
 
-def _bits(mask: int, n: int) -> tuple[int, ...]:
-    """The n low-bit-first bits of an n-bit `mask`; n <= 16 (``MAX_WIDTH``),
-    so they fill at most two bytes."""
-    if n <= 8:
-        return _BYTE_BITS[mask][:n]
-    return _BYTE_BITS[mask & 255] + _BYTE_BITS[mask >> 8][:n - 8]
+def _fold(bits: Iterable[int]) -> int:
+    """The int of low-bit-first `bits`, each 0 or 1."""
+    word = 0
+    for k, b in enumerate(bits):
+        if b:
+            word |= 1 << k
+    return word
 
 
-def _mask(bits: Sequence[int]) -> int:
-    """The mask of low-bit-first 0/1 int `bits` of any length, the inverse
-    of :func:`_bits`, folded a byte at a time."""
-    if len(bits) <= 8:
-        return _BITS_MASK[bits]
-    return _BITS_MASK[bits[:8]] | _mask(bits[8:]) << 8
-
-
-def _parity_mask(data_bits: Sequence[int], p: Placement, odd_parity: bool) -> int:
-    mask = 0
-    for bit, code in zip(data_bits, p.data):
-        if bit:
-            mask ^= code
-    if odd_parity:
-        mask ^= (1 << p.n) - 1
-    return mask
+def _parity(mask: int, codes: Sequence[int]) -> int:
+    """The parity mask of data `mask` (X_i at bit i - 1): the XOR of the
+    codes of its set bits, X_i's code being ``codes[i - 1]``."""
+    s = 0
+    for code in codes:
+        if not mask:
+            break
+        if mask & 1:
+            s ^= code
+        mask >>= 1
+    return s
 
 
 def _data_bit(b) -> int:
@@ -126,37 +149,37 @@ def _data_bit(b) -> int:
 
 def encode(data_bits: Sequence[int], p: Placement, odd_parity: bool = False) -> Codeword:
     """Even parity: P_k is the XOR of the data bits whose code sets bit k."""
-    if len(data_bits) != p.d:
-        raise ValueError(f"expected {p.d} data bits, got {len(data_bits)}")
+    d = p.d
+    if len(data_bits) != d:
+        raise ValueError(f"expected {d} data bits, got {len(data_bits)}")
     try:
-        data = tuple(map(_BIT_VALUE.__getitem__, data_bits))
+        data = _fold(map(_BIT_VALUE.__getitem__, data_bits))
     except (KeyError, TypeError):
-        data = tuple(map(_data_bit, data_bits))
-    return _word(data, _bits(_parity_mask(data, p, odd_parity), p.n))
+        data = _fold(map(_data_bit, data_bits))
+    parity = _parity(data, p.data)
+    if odd_parity:
+        parity ^= (1 << p.n) - 1
+    return _codeword(data | parity << d, d, p.n)
 
 
 def syndrome(word: Codeword, p: Placement, odd_parity: bool = False) -> int:
     """Received parity XOR recomputed parity; zero iff all checks pass."""
-    if len(word.data) != p.d or len(word.parity) != p.n:
+    w, d, n = word._word, word._d, word._n
+    if d != p.d or n != p.n:
         raise ValueError("codeword shape does not match placement")
-    return _parity_mask(word.data, p, odd_parity) ^ _mask(word.parity)
+    s = _parity(w & (1 << d) - 1, p.data) ^ w >> d
+    if odd_parity:
+        s ^= (1 << n) - 1
+    return s
 
 
 def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
-    """Flip the pattern's members; a part with no member is not copied."""
-    data, parity = word.data, word.parity
-    try:
-        if pattern.data:
-            data = list(data)
-            for i in pattern.data:
-                data[i - 1] ^= 1
-        if pattern.parities:
-            parity = list(parity)
-            for k in pattern.parities:
-                parity[k - 1] ^= 1
-    except IndexError:
-        raise pattern._past(len(word.data), len(word.parity), "word") from None
-    return _word(tuple(data), tuple(parity))
+    """Flip the pattern's members: one XOR with its mask over the word."""
+    w, d, n = word._word, word._d, word._n
+    data, parity = pattern._data_mask, pattern._parity_mask
+    if data >> d or parity >> n:
+        raise pattern._past(d, n, "word")
+    return _codeword(w ^ data ^ parity << d, d, n)
 
 
 def iter_patterns(p: Placement, sizes: Sequence[int] = (1, 2)) -> Iterator[ErrorPattern]:
@@ -215,29 +238,37 @@ def _covered_triples(p: Placement, taken: Container[int]) -> dict[int, ErrorPatt
     return {s: _pattern(idx, d) for s, idx in first.items() if claims[s] == 1}
 
 
-# A table memoizes at most this many corrected words: every codeword up to
-# d = 11 at both parities, and a bounded few of a wide-d code's 2^(d+1).
-_WORDS_CAP = 4096
+# A table keeps the parity mask of every data mask in a 2^d list up to this
+# many data bits; past it, decode computes each parity bit by bit.
+_TABLE_D = 8
 
 
 @dataclass(frozen=True)
 class CodecTables:
     """Immutable decoding tables: nonzero syndrome -> correctable pattern.
 
-    Two memos, filled by :func:`decode` and not part of the value:
-    ``_squares`` maps each nonzero syndrome decoded so far to its
-    :class:`DecodeReport` and its pattern's data flip mask (None for an
-    uncorrectable square); ``_words`` maps (corrected data mask, odd
-    parity) to the corrected :class:`Codeword`, up to ``_WORDS_CAP`` words.
+    ``_reader`` is what :func:`decode` reads of the placement: (d, n, data
+    mask -> parity mask), the parity a list read up to ``_TABLE_D`` data
+    bits and the bit loop past them.  ``_squares``, a memo filled by
+    :func:`decode` and not part of the value, maps each nonzero syndrome
+    decoded so far to its :class:`DecodeReport` and its pattern's flip mask
+    over the whole word (None for an uncorrectable square).
     """
 
     placement: Placement
     decode: Mapping[int, ErrorPattern]
     include_triples: bool
+    _reader: tuple[int, int, Callable[[int], int]] = field(
+        init=False, repr=False, compare=False)
     _squares: dict[int, tuple["DecodeReport", int | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _words: dict[tuple[int, bool], Codeword] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        codes = self.placement.data
+        d = len(codes)
+        parity_of = (partial(_parity, codes=codes) if d > _TABLE_D else
+                     [_parity(mask, codes) for mask in range(1 << d)].__getitem__)
+        object.__setattr__(self, "_reader", (d, self.placement.n, parity_of))
 
     @property
     def n_entries(self) -> int:
@@ -251,7 +282,7 @@ def build_tables(p: Placement, include_triples: bool = False) -> CodecTables:
     """Decoding tables for every 1- and 2-bit pattern, optionally extended with
     the covered triples; raises PlacementError (with the collision report) on
     an invalid placement.  The table is a read-only view, since
-    :func:`decode`'s memos would go on answering for an edited square."""
+    :func:`decode`'s memo would go on answering for an edited square."""
     table = require_valid(p)
     triples = _covered_triples(p, table) if include_triples else {}
     del table[0]
@@ -274,10 +305,15 @@ def decode(word: Codeword, tables: CodecTables,
     """Correct the received word if its syndrome is assigned; an unassigned
     nonzero syndrome reports detected-uncorrectable and leaves the word as is.
 
-    Every correction lands on a codeword, which its data bits and parity
-    sense fix, so a repeated square or corrected word is read from the
-    tables' memos instead of built again."""
-    s = syndrome(word, tables.placement, odd_parity)
+    The syndrome is a parity read and an XOR, and a correction one XOR with
+    the square's flip mask, both memoized on the tables."""
+    d, n, parity_of = tables._reader
+    w = word._word
+    if word._d != d or word._n != n:
+        raise ValueError("codeword shape does not match placement")
+    s = parity_of(w & (1 << d) - 1) ^ w >> d
+    if odd_parity:
+        s ^= (1 << n) - 1
     if s == 0:
         return word, _CLEAN
     square = tables._squares.get(s)
@@ -285,14 +321,10 @@ def decode(word: Codeword, tables: CodecTables,
         pat = tables.decode.get(s)
         square = tables._squares[s] = (
             (DecodeReport("uncorrectable", s, None), None) if pat is None
-            else (DecodeReport("corrected", s, pat), pat._data_mask))
+            else (DecodeReport("corrected", s, pat), pat._data_mask | pat._parity_mask << d))
     report, flips = square
     if flips is None:
         return word, report
-    key = (_mask(word.data) ^ flips, bool(odd_parity))
-    fixed = tables._words.get(key)
-    if fixed is None:
-        fixed = inject(word, report.pattern)
-        if len(tables._words) < _WORDS_CAP:
-            tables._words[key] = fixed
+    fixed = _new(Codeword)  # _codeword, inlined on the hottest path
+    fixed._word, fixed._d, fixed._n = w ^ flips, d, n
     return fixed, report

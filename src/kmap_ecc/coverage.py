@@ -74,8 +74,10 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
     corrects, and exceeds it only by the squares X_1X_2X_3 loses.
 
     ``assignable`` instead counts every free square hit by at least one
-    triple, crediting the first claimant in pattern order; it exists for
-    comparison only and overstates what a decoder can actually correct.
+    triple, crediting the first claimant in pattern order.  That is the
+    first-claimant table decoder, and its total is the most any table
+    decoder that still corrects every <=2-bit error can correct: one triple
+    per reachable free square.
     """
     if p.d != 3:
         raise ValueError(f"three-bit coverage is defined for 3-data-bit placements, got d={p.d}")
@@ -147,8 +149,10 @@ def census(n: int = 7, mode: str = "strict", full: bool = False,
            threads: int = 1) -> tuple[CensusRow, ...]:
     """One representative coverage report per listed class.
 
-    With ``full`` the census instead walks every class reachable by the
-    guided search and reports the whole landscape.  ``threads`` is accepted
+    With ``full`` the census instead gives one representative per S-class
+    that the guided search reaches.  An S-class does not fix every triple's
+    coverage, so this is not every coverage tuple the width admits.
+    ``threads`` is accepted
     for compatibility and changes nothing: the rows are computed in this
     process.
     """

@@ -100,6 +100,14 @@ class ErrorPattern:
             mask |= 1 << i - 1
         return mask
 
+    @cached_property
+    def _parity_mask(self) -> int:
+        """The parity bits it flips as a mask, P_k at bit k - 1."""
+        mask = 0
+        for k in self.parities:
+            mask |= 1 << k - 1
+        return mask
+
     def syndrome(self, placement: "Placement") -> int:
         d, n = placement.d, placement.n
         if max(self.data, default=0) > d or max(self.parities, default=0) > n:

@@ -139,6 +139,14 @@ def test_codec_decode_uncorrectable_exit_2(capsys, placement_files):
     assert json.loads(out)["status"] == "uncorrectable"
 
 
+@pytest.mark.parametrize("word", ["1_0", "+3ff", "0x"])
+def test_codec_decode_word_not_in_binary_or_hex_is_usage_error(capsys, placement_files, word):
+    code, out, err = run_cli(capsys, "codec", "decode",
+                             "--placement", placement_files["s447_433"], "--word", word)
+    assert code == 1
+    assert out == "" and "usage error" in err
+
+
 def test_coverage_report_and_census(capsys, placement_files):
     code, out, _ = run_cli(capsys, "coverage", "report",
                            "--placement", placement_files["s447_433"])

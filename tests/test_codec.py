@@ -1,16 +1,17 @@
 """Encoder, syndromes and table-driven decoding."""
 
+import copy
 import math
+import pickle
 import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from kmap_ecc.codec import (Codeword, build_tables, covered_triples, decode,
-                            encode, inject, iter_patterns, syndrome, _BITS_MASK, _WORDS_CAP,
-                            _bits)
+                            encode, inject, iter_patterns, syndrome)
 from kmap_ecc.kcode import from_parities, parities, weight
 from kmap_ecc.placement import (ErrorPattern, Placement, PlacementError,
                                 guided_search, is_valid)
@@ -204,8 +205,11 @@ def test_codeword_text_forms(refs):
     again = Codeword.from_string(word.binary(), p.d, p.n)
     assert again == word
     assert Codeword.from_string(word.hex(), p.d, p.n) == word
-    with pytest.raises(ValueError):
-        Codeword.from_string("zz", 3, 7)
+    assert Codeword.from_string(" 0X" + word.hex().upper(), p.d, p.n) == word
+    # int(text, 16) would read a sign, underscores or inner spaces
+    for bad in ("zz", "1_0", "+3ff", "-1", "3 ff", "0x", "", "400", "0x" + word.binary()):
+        with pytest.raises(ValueError):
+            Codeword.from_string(bad, 3, 7)
 
 
 @st.composite
@@ -261,16 +265,74 @@ def test_codec_matches_bitwise_references(p, odd, triples, data):
         assert all(type(b) is int for b in w.bits)
 
 
-def test_byte_tables_round_trip_every_mask():
-    assert len(_BITS_MASK) == 511
+def wide_placement(n, d, start=0):
+    """A valid placement of d data bits at width n, each code the first one
+    from `start` on, cyclically, that keeps it valid; () data when none is
+    left."""
+    data = ()
+    for k in range(1 << n):
+        code = (start + k) % (1 << n)
+        if weight(code) >= 4 and is_valid(Placement(n, data + (code,))):
+            data += (code,)
+            if len(data) == d:
+                return Placement(n, data)
+    return Placement(n, ())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(12, 16), st.integers(9, 14), st.integers(0, (1 << 16) - 1),
+       st.booleans(), st.booleans(), st.data())
+def test_wide_codec_matches_bitwise_references(n, d, start, odd, triples, data):
+    """encode/inject/syndrome/decode against the bit-at-a-time references
+    with 9-14 data bits at widths 12-16, so both fields of the word cross a
+    byte and decode reads parities past its table."""
+    p = wide_placement(n, d, start)
+    assume(p.d == d)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    word = encode(bits, p, odd)
+    assert (word.data, word.parity) == oracles.encode(bits, p, odd)
+    members = data.draw(st.lists(st.integers(1, d + n), max_size=5, unique=True))
+    pat = ErrorPattern.of(data=[i for i in members if i <= d],
+                          parities=[i - d for i in members if i > d])
+    received = inject(word, pat)
+    assert (received.data, received.parity) == oracles.inject(word.data, word.parity, pat)
+    assert (syndrome(received, p, odd)
+            == oracles.syndrome(received.data, received.parity, p, odd))
+    fixed, report = decode(received, build_tables(p, triples), odd)
+    assert ((report.status, report.syndrome, report.pattern, fixed.bits)
+            == oracles.decode(received.bits, p, oracles.decode_table(p, triples), odd))
+
+
+def test_codeword_views_round_trip_every_mask():
+    """Every mask of up to 12 bits is the word of the codeword of its bits,
+    as parity bits or as data bits, and the parity syndrome of no data."""
     for n in range(13):
         for mask in range(1 << n):
-            bits = _bits(mask, n)
-            assert bits == tuple(oracles.parity_bits(mask, n))
-            if n <= 8:
-                assert _BITS_MASK[bits] == mask
+            bits = tuple(oracles.parity_bits(mask, n))
+            as_parity, as_data = Codeword((), bits), Codeword(bits, ())
+            assert as_parity.word == as_data.word == mask
+            assert as_parity.parity == as_parity.bits == as_data.data == as_data.bits == bits
+            assert as_parity.data == as_data.parity == ()
             if n >= 4:
-                assert syndrome(Codeword((), bits), Placement(n, ())) == mask
+                assert syndrome(as_parity, Placement(n, ())) == mask
+
+
+def test_codeword_is_a_value(refs):
+    """Read-only, equal and hashed only as a codeword of the same bits,
+    never as the tuple or int it is stored as, and copied and pickled whole."""
+    word = encode([1, 0, 1], refs["s447_433"])
+    assert repr(word) == "Codeword(data=(1, 0, 1), parity=(1, 0, 1, 0, 1, 0, 0))"
+    for name in ("data", "parity", "bits", "word", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(word, name, 0)
+    for other in (word.word, (word.word, 3, 7), (word.data, word.parity), word.bits):
+        assert word != other and other != word
+        assert not word == other and not other == word
+    same = Codeword(word.data, word.parity)
+    for twin in (same, copy.copy(word), copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+        assert type(twin) is Codeword and twin == word and hash(twin) == hash(word)
+    assert word != Codeword(word.data, word.parity[:-1] + (1,))
+    assert {word: 1}[same] == 1
 
 
 @pytest.mark.parametrize("data,parity", [
@@ -341,7 +403,7 @@ def test_tables_equality_and_repr_ignore_report_memo(refs):
     p = refs["s447_433"]
     used, fresh = build_tables(p, include_triples=True), build_tables(p, include_triples=True)
     decode(inject(encode([0, 1, 1], p), ErrorPattern.of(data=(1,))), used)
-    assert used._squares and used._words and not fresh._squares and not fresh._words
+    assert used._squares and not fresh._squares
     assert used == fresh
     assert repr(used) == repr(fresh)
 
@@ -363,8 +425,8 @@ def test_decode_table_is_read_only(refs):
 @pytest.mark.parametrize("name", ["s447_433+triples", "witness_10+triples"])
 def test_memoized_decodes_match_brute_force_oracle(refs, name):
     """One table decodes every received word, alternating the parity sense
-    word by word, as the brute-force decoder does; it keeps at most one word
-    per codeword and a report for every uncorrectable square."""
+    word by word, as the brute-force decoder does; it keeps a report for
+    every uncorrectable square."""
     p, triples = ORACLE_CODES[name](refs)
     tables = build_tables(p, include_triples=triples)
     table = oracles.decode_table(p, triples)
@@ -373,27 +435,21 @@ def test_memoized_decodes_match_brute_force_oracle(refs, name):
         fixed, report = decode(Codeword.from_bits(bits, p.d), tables, odd_parity=odd)
         assert ((report.status, report.syndrome, report.pattern, fixed.bits)
                 == oracles.decode(bits, p, table, odd))
-    assert len(tables._words) <= 2 ** (p.d + 1)
     unassigned = set(range(1, 1 << p.n)) - tables.decode.keys()
     assert unassigned <= tables._squares.keys()
     assert {tables._squares[s][0].status for s in unassigned} == {"uncorrectable"}
 
 
-def test_corrected_word_memo_stops_at_its_cap():
-    """A wide-d code decodes correctly past the memo's cap of 4,096 words."""
-    data = ()
-    for code in range(1, 1 << 16):
-        if len(data) == 14:
-            break
-        if is_valid(Placement(16, data + (code,))):
-            data += (code,)
-    p = Placement(16, data)
+def test_wide_data_decode_stream():
+    """A stream of single data-bit errors through a 14-data code at n=16,
+    whose parities decode computes bit by bit, is corrected word by word."""
+    p = wide_placement(16, 14, start=1)
+    assert p.d == 14
     tables = build_tables(p)
     rng = random.Random(19)
-    for k in range(_WORDS_CAP + 500):
+    for k in range(2000):
         bits = [rng.randrange(2) for _ in range(p.d)]
         odd = k % 2 == 1
         flip = ErrorPattern.of(data=(rng.randrange(1, p.d + 1),))
         fixed, report = decode(inject(encode(bits, p, odd), flip), tables, odd_parity=odd)
         assert (report.status, report.pattern, fixed) == ("corrected", flip, encode(bits, p, odd))
-    assert len(tables._words) == _WORDS_CAP
