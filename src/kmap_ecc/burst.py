@@ -110,7 +110,7 @@ def _allowed_thirds(report: CoverageReport) -> tuple[int, list[int]]:
     d, m = report.placement.d, report.placement.d + report.placement.n
     allowed = [0] * (m * m)
     for pat in report.covered_patterns():
-        a, b, c = sorted([i - 1 for i in pat.data] + [d + k - 1 for k in pat.parities])
+        a, b, c = _members(pat._data_mask | pat._parity_mask << d)
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
             allowed[x * m + y] |= 1 << z
             allowed[y * m + x] |= 1 << z

@@ -198,44 +198,43 @@ def covered_triples(p: Placement) -> dict[int, ErrorPattern]:
     other pattern.  This is the one assignment rule consistent with the
     reference map of class S_447^433.
 
-    These are exactly the triples that ``build_tables(p, include_triples=True)``
-    corrects.  Every triple that is the sole claimant of a free square is
-    included, and any table decoder can correct those, whatever its
-    tie-break rule; the only others are the winners of squares that
-    X_1X_2X_3 loses.
+    On a valid placement these are exactly the triples that
+    ``build_tables(p, include_triples=True)`` corrects.  Every triple that
+    is the sole claimant of a free square is included, and any table
+    decoder can correct those, whatever its tie-break rule; the only others
+    are the winners of squares that X_1X_2X_3 loses.  An invalid placement
+    is not refused: its triples claim the squares that no <=2-bit pattern
+    holds, collisions and all, where ``build_tables`` raises.
     """
     return _covered_triples(p, {s for _idx, s in _index_patterns(p, (0, 1, 2))})
 
 
-def _free_triples(p: Placement, taken: Container[int]) -> list[tuple[tuple[int, ...], int]]:
-    """(index tuple, syndrome) of each three-bit pattern, in pattern order,
-    whose syndrome is not in `taken`, the squares of the <=2-bit patterns."""
-    return [(idx, s) for idx, s in _index_patterns(p, (3,)) if s not in taken]
+def _claims(p: Placement, taken: Container[int]) -> dict[int, list[tuple[int, ...]]]:
+    """Each free square, one not in `taken` (the <=2-bit squares), mapped to
+    its claimants: the index tuples of its three-bit patterns, in pattern order."""
+    claims: dict[int, list[tuple[int, ...]]] = {}
+    for idx, s in _index_patterns(p, (3,)):
+        if s not in taken:
+            claims.setdefault(s, []).append(idx)
+    return claims
 
 
 def _covered_triples(p: Placement, taken: Container[int]) -> dict[int, ErrorPattern]:
-    """:func:`covered_triples` given the squares of the <=2-bit patterns, in
-    one pass.  Each free square keeps its first claimant and a claim count.
-    Its first strong (not all-data) claimant replaces both in place, and
-    all-data claims after it do not count; the square is covered iff its
-    count ends at 1."""
+    """The strict rule over :func:`_claims`: a sole claimant wins its square.
+    On a contested one only the claimants that are not all-data (last index
+    d or more) count, and the square is covered iff exactly one remains."""
     d = p.d
-    first: dict[int, tuple[int, ...]] = {}
-    claims: dict[int, int] = {}
-    strong: set[int] = set()
-    for idx, s in _free_triples(p, taken):
-        # indices ascend, so a triple is all-data iff its last index is < d
-        if idx[2] >= d:
-            if s in strong:
-                claims[s] += 1
-            else:
-                strong.add(s)
-                first[s] = idx
-                claims[s] = 1
-        elif s not in strong:
-            claims[s] = claims.get(s, 0) + 1
-            first.setdefault(s, idx)
-    return {s: _pattern(idx, d) for s, idx in first.items() if claims[s] == 1}
+    out = {}
+    for s, idxs in _claims(p, taken).items():
+        left = idxs if len(idxs) == 1 else [idx for idx in idxs if idx[2] >= d]
+        if len(left) == 1:
+            out[s] = _pattern(left[0], d)
+    return out
+
+
+def _first_claimants(p: Placement, taken: Container[int]) -> dict[int, ErrorPattern]:
+    """The first-claimant rule: each square of :func:`_claims` to its first."""
+    return {s: _pattern(idxs[0], p.d) for s, idxs in _claims(p, taken).items()}
 
 
 # A table keeps the parity mask of every data mask in a 2^d list up to this
@@ -269,6 +268,12 @@ class CodecTables:
         parity_of = (partial(_parity, codes=codes) if d > _TABLE_D else
                      [_parity(mask, codes) for mask in range(1 << d)].__getitem__)
         object.__setattr__(self, "_reader", (d, self.placement.n, parity_of))
+
+    def __reduce__(self):
+        """Pickle and copy as a rebuild from the placement and the triples
+        flag, since the read-only table does not pickle; the memo starts
+        empty, and a hand-made table comes back as build_tables makes it."""
+        return build_tables, (self.placement, self.include_triples)
 
     @property
     def n_entries(self) -> int:

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .kcode import check_width, _codes, _members, _n_class
-from .placement import (ErrorPattern, Placement, SClass, guided_search,
-                        require_valid, triple_classes, _collides,
-                        _index_patterns, _pattern)
-from .codec import _covered_triples, _free_triples
+from .placement import (ErrorPattern, Placement, SClass, guided_search, require_valid,
+                        triple_classes, _collides, _index_patterns)
+from .codec import _covered_triples, _first_claimants
 
 __all__ = [
     "CoverageReport", "three_bit_coverage", "CLASS_KEYS",
@@ -66,16 +65,20 @@ class CoverageReport:
 def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
     """Census of correctable triples for a 3-data-bit placement.
 
-    ``strict`` pairs each free square with the unique triple claiming it,
-    with the all-data triple losing contested squares (the rule of
+    Both modes are projections of one claim table: each free square, one
+    that no <=2-bit pattern holds, with its claimants, the triples whose
+    syndrome it is, in pattern order.
+
+    ``strict`` gives a square to its sole claimant.  On a contested square
+    only the claimants that are not all-data count, and the square is
+    covered iff exactly one of them remains (the rule of
     :func:`kmap_ecc.codec.covered_triples`).  Its count is the number of
     triples the ``--triples`` table decoder corrects.  It never falls below
-    the number of sole claimants of free squares, which any table decoder
-    corrects, and exceeds it only by the squares X_1X_2X_3 loses.
+    the number of sole claimants, which any table decoder corrects, and
+    exceeds it only by the squares X_1X_2X_3 loses.
 
-    ``assignable`` instead counts every free square hit by at least one
-    triple, crediting the first claimant in pattern order.  That is the
-    first-claimant table decoder, and its total is the most any table
+    ``assignable`` gives each free square to its first claimant.  That is
+    the first-claimant table decoder, and its total is the most any table
     decoder that still corrects every <=2-bit error can correct: one triple
     per reachable free square.
     """
@@ -85,14 +88,8 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
         require_valid(p)  # raises PlacementError with the collision report
     if mode not in ("strict", "assignable"):
         raise ValueError(f"unknown coverage mode {mode!r}")
-    taken = {s for _idx, s in _index_patterns(p, (0, 1, 2))}
-    if mode == "strict":
-        table = _covered_triples(p, taken)
-    else:
-        first: dict[int, tuple[int, ...]] = {}
-        for idx, s in _free_triples(p, taken):
-            first.setdefault(s, idx)
-        table = {s: _pattern(idx, p.d) for s, idx in first.items()}
+    rule = _covered_triples if mode == "strict" else _first_claimants
+    table = rule(p, {s for _idx, s in _index_patterns(p, (0, 1, 2))})
     covered = tuple(sorted(((pat, s) for s, pat in table.items()), key=_by_pattern))
     counts = Counter(_class_key(pat) for pat, _ in covered)
     return CoverageReport(p, mode, covered,

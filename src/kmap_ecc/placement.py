@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations
 from operator import xor
@@ -145,11 +145,13 @@ class Placement:
     """Width n plus the ordered data-bit K-codes X_1..X_d.
 
     Construction checks ranges only; validity is a separate question so that
-    colliding placements can still be inspected and reported.
+    colliding placements can still be inspected and reported.  ``d``, the
+    number of data bits, is stored once and is not part of the value.
     """
 
     n: int
     data: tuple[int, ...]
+    d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_width(self.n)
@@ -158,16 +160,9 @@ class Placement:
             raise ValueError(f"placement data must be a sequence of K-codes, "
                              f"got {self.data!r}")
         object.__setattr__(self, "data", tuple(self.data))
+        object.__setattr__(self, "d", len(self.data))
         for x in self.data:
             check_code(x, self.n)
-
-    @property
-    def d(self) -> int:
-        return len(self.data)
-
-    @property
-    def bit_count(self) -> int:
-        return self.d + self.n
 
     def to_json(self) -> dict:
         return {"n": self.n, "data": list(self.data)}
@@ -186,6 +181,7 @@ def _placement(n: int, data: tuple[int, ...]) -> Placement:
     p = object.__new__(Placement)
     object.__setattr__(p, "n", n)
     object.__setattr__(p, "data", data)
+    object.__setattr__(p, "d", len(data))
     return p
 
 
@@ -434,10 +430,10 @@ def require_valid(p: Placement) -> dict[int, ErrorPattern]:
 BLESSED_PAIR_SITUATIONS = ((4, 4, 4), (4, 5, 3), (5, 4, 3), (5, 5, 4))
 _PAIR_CLASSES = tuple(SClass((w1, w2), (dist,)) for w1, w2, dist in BLESSED_PAIR_SITUATIONS)
 
-#: Reference double-weight totals of X_3 by class, the placement heuristic's
-#: priority data.  Every class is verified exhaustively by the test suite;
-#: classes in the 10 row admit no collision-free realization (each lands on a
-#: forbidden square) and are kept for candidate accounting.
+#: Published double-weight totals of X_3 by class at n=7.  Only the tests
+#: read it, checking :func:`triple_classes`, which the search ranks by,
+#: against it and each class exhaustively.  The 10-count classes admit no
+#: collision-free realization (each lands on a forbidden square).
 X3_DOUBLE_WEIGHT_TABLE = {
     SClass((4, 4, 5), (4, 5, 5)): 10,
     SClass((4, 5, 4), (3, 6, 5)): 10,

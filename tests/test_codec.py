@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from kmap_ecc.codec import (Codeword, build_tables, covered_triples, decode,
+from kmap_ecc.codec import (CodecTables, Codeword, build_tables, covered_triples, decode,
                             encode, inject, iter_patterns, syndrome)
 from kmap_ecc.kcode import from_parities, parities, weight
 from kmap_ecc.placement import (ErrorPattern, Placement, PlacementError,
@@ -420,6 +420,21 @@ def test_decode_table_is_read_only(refs):
         tables.decode[report.syndrome] = None
     assert tables.decode[report.syndrome] == report.pattern
     assert tables == build_tables(p, include_triples=True)
+
+
+@pytest.mark.parametrize("triples", [False, True])
+def test_tables_pickle_and_copy_as_a_rebuild(refs, triples):
+    """A copied or unpickled table equals the original, keeps a read-only
+    table and no memo, and decodes every received word as it does."""
+    p = refs["s447_433"]
+    tables = build_tables(p, include_triples=triples)
+    words = [Codeword.from_bits(bits, p.d) for bits in product((0, 1), repeat=p.d + p.n)]
+    want = [decode(w, tables, odd) for w in words for odd in (False, True)]
+    for twin in (pickle.loads(pickle.dumps(tables)), copy.deepcopy(tables), copy.copy(tables)):
+        assert type(twin) is CodecTables and twin == tables and not twin._squares
+        with pytest.raises(TypeError):
+            twin.decode[1] = None
+        assert [decode(w, twin, odd) for w in words for odd in (False, True)] == want
 
 
 @pytest.mark.parametrize("name", ["s447_433+triples", "witness_10+triples"])

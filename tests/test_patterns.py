@@ -11,9 +11,10 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from kmap_ecc.codec import build_tables, covered_triples, iter_patterns
+from kmap_ecc.codec import (build_tables, covered_triples, iter_patterns, _claims,
+                            _first_claimants)
 from kmap_ecc.coverage import three_bit_coverage
-from kmap_ecc.placement import Placement, occupied_map, reference_placements
+from kmap_ecc.placement import Placement, occupied_map, reference_placements, _pattern
 
 SIZE_SETS = [s for r in range(4) for s in combinations((1, 2, 3), r)]
 
@@ -44,6 +45,25 @@ def test_iter_patterns_matches_oracle_for_every_size_set():
         assert list(iter_patterns(p)) == list(oracles.iter_patterns(p))
         for sizes in SIZE_SETS + [(3, 1), (0, 2)]:
             assert list(iter_patterns(p, sizes)) == list(oracles.iter_patterns(p, sizes)), sizes
+
+
+def test_square_contested_by_two_all_data_triples():
+    """Two all-data triples contest a free square only through a data-only
+    codeword of weight 6, so from d = 6 on: at d = 8 both X_2X_3X_4 and
+    X_5X_6X_8 land on square 988.  The strict rule leaves it uncovered; the
+    first-claimant rule gives it to X_2X_3X_4."""
+    p = Placement(10, (533, 527, 730, 777, 188, 142, 501, 1006))
+    taken = occupied_map(p).mapping
+    claimants = [_pattern(idx, p.d).label for idx in _claims(p, taken)[988]]
+    assert claimants == ["X_2X_3X_4", "X_5X_6X_8"]
+    strict = covered_triples(p)
+    assert 988 not in strict and len(strict) == 401
+    assert list(strict.items()) == list(oracles.covered_triples(p).items())
+    assert (list(build_tables(p, True).decode.items())
+            == list(oracles.decode_table(p, True).items()))
+    first = _first_claimants(p, taken)
+    assert first[988].label == "X_2X_3X_4" and len(first) == 534
+    assert list(first.items()) == list(oracles.assignable_triples(p).items())
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import pickle
 import random
 import re
 import subprocess
@@ -22,7 +23,8 @@ from kmap_ecc.placement import (BLESSED_PAIR_SITUATIONS, ErrorPattern,
                                 forbidden_squares, guided_search, is_valid,
                                 naive_search, occupied_map, permute_bits,
                                 reference_placements, theorem1_overlap,
-                                theorem2_overlap, triple_classes, _offsets12)
+                                theorem2_overlap, triple_classes, _offsets12,
+                                _placement)
 
 W4PLUS = [x for x in range(128) if weight(x) >= 4]
 
@@ -382,6 +384,21 @@ def test_search_emitted_placements_equal_constructed_ones():
             q = Placement(p.n, p.data)
             assert type(p) is Placement and p == q and hash(p) == hash(q)
             assert repr(p) == repr(q) and type(p.data) is tuple
+
+
+def test_placement_stores_d_outside_its_value():
+    """``d`` is stored once as ``len(data)`` however a placement is made,
+    and equality, hash and repr still read (n, data) alone."""
+    data = (106, 86, 127)
+    made = [Placement(7, data), _placement(7, data),
+            Placement.from_json({"n": 7, "data": list(data)})]
+    made += [pickle.loads(pickle.dumps(p)) for p in made]
+    for p in made:
+        assert p.d == len(p.data) == 3
+        assert p == made[0] and hash(p) == hash((7, data))
+        assert repr(p) == "Placement(n=7, data=(106, 86, 127))"
+    assert Placement(7, data[:2]) != made[0] and Placement(7, ()).d == 0
+    assert _placement(16, tuple(range(1, 15))).d == 14
 
 
 _FIRST_TRIPLE_PEAK = """
