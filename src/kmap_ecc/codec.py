@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
@@ -28,6 +29,10 @@ _BITS = frozenset((0, 1))
 # The int of each common form of a data bit; True and 1.0 are keys equal to 1.
 _BIT_VALUE = {0: 0, 1: 1, "0": 0, "1": 1}
 _HEX_DIGITS = frozenset("0123456789abcdef")
+# Up to this many data bits, encode reads a tuple's data mask from one dict
+# and each table keeps the parity mask of every data mask in a 2^d list;
+# past it, both are computed bit by bit.
+_TABLE_D = 8
 
 
 class Codeword:
@@ -125,6 +130,13 @@ def _fold(bits: Iterable[int]) -> int:
     return word
 
 
+# The data mask of each tuple of 1 to _TABLE_D bits, the int 0 or 1 (510
+# keys): ``product`` counts the reversed tuple up, so its count is the mask
+# of the low-bit-first tuple.  True and 1.0 are equal to 1 and hash as it.
+_DATA_MASK = {bits[::-1]: mask for k in range(1, _TABLE_D + 1)
+              for mask, bits in enumerate(product((0, 1), repeat=k))}
+
+
 def _parity(mask: int, codes: Sequence[int]) -> int:
     """The parity mask of data `mask` (X_i at bit i - 1): the XOR of the
     codes of its set bits, X_i's code being ``codes[i - 1]``."""
@@ -147,15 +159,24 @@ def _data_bit(b) -> int:
     return x
 
 
+def _data_mask(data_bits: Sequence[int]) -> int:
+    """The data mask of bits in any form :func:`encode` takes: each a common
+    form of 0 or 1, else anything ``int`` reads exactly as one."""
+    try:
+        return _fold(map(_BIT_VALUE.__getitem__, data_bits))
+    except (KeyError, TypeError):
+        return _fold(map(_data_bit, data_bits))
+
+
 def encode(data_bits: Sequence[int], p: Placement, odd_parity: bool = False) -> Codeword:
     """Even parity: P_k is the XOR of the data bits whose code sets bit k."""
     d = p.d
     if len(data_bits) != d:
         raise ValueError(f"expected {d} data bits, got {len(data_bits)}")
     try:
-        data = _fold(map(_BIT_VALUE.__getitem__, data_bits))
-    except (KeyError, TypeError):
-        data = _fold(map(_data_bit, data_bits))
+        data = _DATA_MASK[tuple(data_bits)]
+    except (KeyError, TypeError):   # not 1 to _TABLE_D bits of 0 or 1, or unhashable
+        data = _data_mask(data_bits)
     parity = _parity(data, p.data)
     if odd_parity:
         parity ^= (1 << p.n) - 1
@@ -237,11 +258,6 @@ def _first_claimants(p: Placement, taken: Container[int]) -> dict[int, ErrorPatt
     return {s: _pattern(idxs[0], p.d) for s, idxs in _claims(p, taken).items()}
 
 
-# A table keeps the parity mask of every data mask in a 2^d list up to this
-# many data bits; past it, decode computes each parity bit by bit.
-_TABLE_D = 8
-
-
 @dataclass(frozen=True)
 class CodecTables:
     """Immutable decoding tables: nonzero syndrome -> correctable pattern.
@@ -270,10 +286,10 @@ class CodecTables:
         object.__setattr__(self, "_reader", (d, self.placement.n, parity_of))
 
     def __reduce__(self):
-        """Pickle and copy as a rebuild from the placement and the triples
-        flag, since the read-only table does not pickle; the memo starts
-        empty, and a hand-made table comes back as build_tables makes it."""
-        return build_tables, (self.placement, self.include_triples)
+        """Pickle and copy as a rebuild from the placement, the table's own
+        entries as a plain dict (the read-only view does not pickle) and the
+        triples flag; the memo starts empty."""
+        return _rebuild_tables, (self.placement, dict(self.decode), self.include_triples)
 
     @property
     def n_entries(self) -> int:
@@ -293,6 +309,13 @@ def build_tables(p: Placement, include_triples: bool = False) -> CodecTables:
     del table[0]
     table.update(triples)
     return CodecTables(p, MappingProxyType(table), include_triples)
+
+
+def _rebuild_tables(p: Placement, decode: dict[int, ErrorPattern],
+                    include_triples: bool) -> CodecTables:
+    """A :class:`CodecTables` of these entries, read-only again: what a
+    pickled or copied table is rebuilt through."""
+    return CodecTables(p, MappingProxyType(decode), include_triples)
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations
 from operator import xor
 from typing import Iterator, Sequence
 
 from .kcode import (check_code, check_width, n_class, parity_code, weight,
-                    _codes, _members, _n_class)
+                    _codes, _n_class)
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Collision",
@@ -149,9 +149,14 @@ class Placement:
     number of data bits, is stored once and is not part of the value.
     """
 
+    # Slots named here, not through ``slots=True``: the class that option
+    # makes keeps a ``__setattr__`` bound to the class it replaced, which
+    # raises TypeError, not FrozenInstanceError, on a new attribute name.
+    # ``d`` has a slot but no annotation, so it is no field of the value.
+    __slots__ = ("n", "data", "d")
+
     n: int
     data: tuple[int, ...]
-    d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_width(self.n)
@@ -164,6 +169,12 @@ class Placement:
         for x in self.data:
             check_code(x, self.n)
 
+    def __reduce__(self):
+        """Pickle and copy through the constructor, as (n, data): the default
+        for a class with slots restores each one by ``setattr``, which a
+        frozen class refuses."""
+        return Placement, (self.n, self.data)
+
     def to_json(self) -> dict:
         return {"n": self.n, "data": list(self.data)}
 
@@ -172,16 +183,20 @@ class Placement:
         return cls(obj["n"], obj["data"])
 
 
+_new = object.__new__
+_set_n, _set_data, _set_d = (vars(Placement)[name].__set__ for name in ("n", "data", "d"))
+
+
 def _placement(n: int, data: tuple[int, ...]) -> Placement:
     """A :class:`Placement` of a checked width and a tuple of ints already
     known to be n-bit codes, as the searches draw them, without checking
-    them again; equal, and equal in hash, to ``Placement(n, data)``.  The
-    fields are set as the dataclass's own ``__init__`` sets them: writing
-    to ``__dict__`` instead makes each later attribute read slower."""
-    p = object.__new__(Placement)
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "data", data)
-    object.__setattr__(p, "d", len(data))
+    them again; equal, and equal in hash, to ``Placement(n, data)``.  Each
+    field is written through its slot's own setter, which the frozen
+    class's ``__setattr__`` does not guard."""
+    p = _new(Placement)
+    _set_n(p, n)
+    _set_data(p, data)
+    _set_d(p, len(data))
     return p
 
 
@@ -627,10 +642,13 @@ def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Ite
             ring2 = rings2.get(x2)
             if ring2 is None:
                 ring2 = rings2[x2] = ring(x2, d23)
-            # X_3 at the class distances from both; the counter advances
-            # over c3 as the candidate-by-candidate walk would
-            x12, counted = x1 ^ x2, 0
-            for i in _members(ring1 & ring2):
+            # X_3 at the class distances from both, lowest set bit first; the
+            # counter advances over c3 as the candidate-by-candidate walk would
+            x12, counted, both = x1 ^ x2, 0, ring1 & ring2
+            while both:
+                low = both & -both
+                both ^= low
+                i = low.bit_length() - 1
                 x3 = c3[i]
                 if (x12 ^ x3).bit_count() <= 1:     # {X_1, X_2, X_3} collides
                     continue
@@ -638,7 +656,11 @@ def _class_pinned_search(n: int, d: int, cls: SClass, stats: SearchStats) -> Ite
                 counted = i + 1
                 if d == 3:
                     stats.placements_emitted += 1
-                    yield _placement(n, (x1, x2, x3))
+                    p = _new(Placement)     # _placement, inlined on the hottest path
+                    _set_n(p, n)
+                    _set_data(p, (x1, x2, x3))
+                    _set_d(p, 3)
+                    yield p
                 else:
                     yield from _extend_with_x4(n, (x1, x2, x3), stats)
             stats.candidates_evaluated += len(c3) - counted

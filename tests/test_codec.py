@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -57,17 +58,35 @@ def test_encode_parity_follows_int_data_bits(refs, odd):
             assert syndrome(word, p, odd) == 0
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_encode_reads_every_bit_tuple_as_the_oracle(d):
+    """Up to 8 data bits a tuple's mask is one dict read, past them a bit
+    loop; a list, a tuple of bools or floats and a string of digits of the
+    same bits encode alike, at either parity."""
+    p = Placement(12, tuple(range(1, d + 1)))
+    for bits in product((0, 1), repeat=d):
+        for odd in (False, True):
+            want = oracles.encode(bits, p, odd)
+            for given_bits in (bits, list(bits), tuple(map(bool, bits)),
+                               tuple(map(float, bits)), "".join(map(str, bits))):
+                word = encode(given_bits, p, odd)
+                assert (word.data, word.parity) == want, given_bits
+
+
 def test_encode_and_decode_keep_their_errors(refs):
     p = refs["s447_433"]
     with pytest.raises(ValueError, match="expected 3 data bits, got 2"):
         encode([0, 1], p)
     for bad in ([2, 0, 0], [0, "-1", 0], [0, 0, 3.0], [0.5, 1, 0], [1.9, 0, 0]):
-        with pytest.raises(ValueError, match="codeword bits must be 0 or 1"):
-            encode(bad, p)
-    with pytest.raises(ValueError, match="invalid literal"):
-        encode([0, "x", 0], p)
-    with pytest.raises(TypeError):
-        encode([0, None, 0], p)
+        for given_bits in (bad, tuple(bad)):
+            with pytest.raises(ValueError, match="codeword bits must be 0 or 1"):
+                encode(given_bits, p)
+    for given_bits in ([0, "x", 0], (0, "x", 0), "0x0"):
+        with pytest.raises(ValueError, match="invalid literal"):
+            encode(given_bits, p)
+    for given_bits in ([0, None, 0], (0, None, 0), (0, [1], 0)):
+        with pytest.raises(TypeError):
+            encode(given_bits, p)
     short = Codeword((0, 0, 0), (0,) * 6)
     for call in (lambda: syndrome(short, p), lambda: decode(short, build_tables(p))):
         with pytest.raises(ValueError, match="codeword shape does not match placement"):
@@ -435,6 +454,19 @@ def test_tables_pickle_and_copy_as_a_rebuild(refs, triples):
         with pytest.raises(TypeError):
             twin.decode[1] = None
         assert [decode(w, twin, odd) for w in words for odd in (False, True)] == want
+
+
+def test_hand_made_tables_pickle_and_copy_with_their_own_entries(refs):
+    """A table made by hand, not by build_tables, comes back from pickle and
+    copy with its own entries (here none), not the placement's full table."""
+    p = refs["s447_433"]
+    tables = CodecTables(p, MappingProxyType({}), False)
+    word = inject(encode((1, 0, 1), p), ErrorPattern.of(data=(1,)))
+    for twin in (pickle.loads(pickle.dumps(tables)), copy.deepcopy(tables), copy.copy(tables)):
+        assert type(twin) is CodecTables and twin == tables and twin.n_entries == 0
+        with pytest.raises(TypeError):
+            twin.decode[1] = None
+        assert decode(word, twin)[1].status == "uncorrectable"
 
 
 @pytest.mark.parametrize("name", ["s447_433+triples", "witness_10+triples"])

@@ -1,5 +1,6 @@
 """Validity oracle, double-weight accounting, theorems and searches."""
 
+import copy
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from itertools import islice
 
 import pytest
@@ -299,6 +301,36 @@ def test_guided_stream_pinned(key):
     assert stats.placements_emitted == count
 
 
+#: (search, n, d, limit) -> (placements, SHA-256 of the
+#: (data, candidates evaluated, placements emitted) line read at each yield),
+#: taken from the search that walked X_3 through a bit generator.
+YIELD_COUNTER_PINS = {
+    ("guided", 7, 3, None):
+        (45360, "4620c44f59e369e516ed7b3b42cf12cb6a7c7720cd2e633d7756e0cdc96e2483"),
+    ("guided", 7, 4, 2000):
+        (2000, "4e0ac5224b24be69a8ca52df5186388db77958529d4a444f9fd0d29f97b35406"),
+    ("guided", 8, 4, 20000):
+        (20000, "006534fdcebf5526b00bbd617b718df7404b4be7ea80d0c7d5a2eea7de2a069a"),
+    ("naive", 7, 4, 1):
+        (1, "a92ed526f2064edcd8c2593f57e8eaf2e10102f6b19ad3381b42fdc327c49b5e"),
+}
+
+
+@pytest.mark.parametrize("key", YIELD_COUNTER_PINS, ids=str)
+def test_search_counters_pinned_at_every_yield(key):
+    """The counters are exact whenever a placement is handed out, not only
+    once the stream ends."""
+    name, n, d, limit = key
+    search = guided_search if name == "guided" else naive_search
+    stats = SearchStats()
+    h, count = hashlib.sha256(), 0
+    for p in islice(search(n, d, stats=stats), limit):
+        line = (p.data, stats.candidates_evaluated, stats.placements_emitted)
+        h.update(repr(line).encode() + b"\n")
+        count += 1
+    assert (count, h.hexdigest()) == YIELD_COUNTER_PINS[key]
+
+
 #: n -> (classes, SHA-256 of their "label count" lines), taken from the
 #: walk that tried every n-bit X_3 over a pair of each blessed situation.
 TRIPLE_CLASS_PINS = {
@@ -388,15 +420,22 @@ def test_search_emitted_placements_equal_constructed_ones():
 
 def test_placement_stores_d_outside_its_value():
     """``d`` is stored once as ``len(data)`` however a placement is made,
-    and equality, hash and repr still read (n, data) alone."""
+    copied or unpickled; equality, hash and repr still read (n, data)
+    alone, and no field can be assigned or added."""
     data = (106, 86, 127)
     made = [Placement(7, data), _placement(7, data),
             Placement.from_json({"n": 7, "data": list(data)})]
-    made += [pickle.loads(pickle.dumps(p)) for p in made]
+    made += [twin for p in made
+             for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p))]
     for p in made:
+        assert type(p) is Placement and not hasattr(p, "__dict__")
         assert p.d == len(p.data) == 3
         assert p == made[0] and hash(p) == hash((7, data))
         assert repr(p) == "Placement(n=7, data=(106, 86, 127))"
+        for name, value in (("n", 8), ("data", (106,)), ("d", 1), ("extra", 0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(p, name, value)
+        assert (p.n, p.data, p.d) == (7, data, 3)
     assert Placement(7, data[:2]) != made[0] and Placement(7, ()).d == 0
     assert _placement(16, tuple(range(1, 15))).d == 14
 
