@@ -8,15 +8,16 @@ a parity read and an XOR, and a flip one XOR.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .placement import (ErrorPattern, Placement, require_valid, _index_patterns,
-                        _pattern)
+from .placement import (ErrorPattern, Placement, require_valid, _columns,
+                        _le2_syndromes, _pattern_index, _syndromes)
 
 __all__ = [
     "Codeword", "CodecTables", "DecodeReport",
@@ -205,8 +206,8 @@ def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
 
 def iter_patterns(p: Placement, sizes: Sequence[int] = (1, 2)) -> Iterator[ErrorPattern]:
     """All error patterns of the given sizes, in deterministic order."""
-    for idx, _s in _index_patterns(p, sizes):
-        yield _pattern(idx, p.d)
+    for size in sizes:
+        yield from _pattern_index(p.d, p.n, size).patterns
 
 
 def covered_triples(p: Placement) -> dict[int, ErrorPattern]:
@@ -227,35 +228,40 @@ def covered_triples(p: Placement) -> dict[int, ErrorPattern]:
     is not refused: its triples claim the squares that no <=2-bit pattern
     holds, collisions and all, where ``build_tables`` raises.
     """
-    return _covered_triples(p, {s for _idx, s in _index_patterns(p, (0, 1, 2))})
+    return _covered_triples(p, set(_le2_syndromes(p)))
 
 
-def _claims(p: Placement, taken: Container[int]) -> dict[int, list[tuple[int, ...]]]:
-    """Each free square, one not in `taken` (the <=2-bit squares), mapped to
-    its claimants: the index tuples of its three-bit patterns, in pattern order."""
-    claims: dict[int, list[tuple[int, ...]]] = {}
-    for idx, s in _index_patterns(p, (3,)):
-        if s not in taken:
-            claims.setdefault(s, []).append(idx)
-    return claims
+def _covered_triples(p: Placement, taken: Collection[int]) -> dict[int, ErrorPattern]:
+    """:func:`_strict_claims` with each winner's pattern."""
+    won = _strict_claims(p, taken)
+    return dict(zip(won, map(_pattern_index(p.d, p.n, 3).patterns.__getitem__, won.values())))
 
 
-def _covered_triples(p: Placement, taken: Container[int]) -> dict[int, ErrorPattern]:
-    """The strict rule over :func:`_claims`: a sole claimant wins its square.
-    On a contested one only the claimants that are not all-data (last index
-    d or more) count, and the square is covered iff exactly one remains."""
-    d = p.d
-    out = {}
-    for s, idxs in _claims(p, taken).items():
-        left = idxs if len(idxs) == 1 else [idx for idx in idxs if idx[2] >= d]
-        if len(left) == 1:
-            out[s] = _pattern(left[0], d)
-    return out
+def _strict_claims(p: Placement, taken: Collection[int]) -> dict[int, int]:
+    """The strict rule over the free squares, those not in `taken` (the
+    <=2-bit squares), each to the position of its winner in the triples'
+    pattern index, in the order the squares are first claimed.  A sole
+    claimant wins its square.  On a contested one only the claimants that
+    are not all-data count, and the square is covered iff exactly one remains."""
+    syn = _syndromes(_columns(p), 3)
+    claims = Counter(syn)       # in first-claim order
+    for i in [i for i in _pattern_index(p.d, p.n, 3).all_data if claims[syn[i]] > 1]:
+        claims[syn[i]] -= 1     # an all-data claimant steps off a contested square
+        syn[i] = None
+    last = dict(zip(syn, range(len(syn))))
+    return {s: last[s] for s, count in claims.items() if count == 1 and s not in taken}
 
 
-def _first_claimants(p: Placement, taken: Container[int]) -> dict[int, ErrorPattern]:
-    """The first-claimant rule: each square of :func:`_claims` to its first."""
-    return {s: _pattern(idxs[0], p.d) for s, idxs in _claims(p, taken).items()}
+def _first_claimants(p: Placement, taken: Collection[int]) -> dict[int, int]:
+    """The first-claimant rule: each free square, one not in `taken`, to the
+    position of its first claimant in the triples' pattern index, in the
+    order the squares are first claimed."""
+    syn = _syndromes(_columns(p), 3)
+    first = dict.fromkeys(syn)
+    first.update(zip(reversed(syn), range(len(syn) - 1, -1, -1)))
+    for s in first.keys() & taken:
+        del first[s]
+    return first
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from typing import Mapping, Sequence
 
 from .kcode import check_width, _codes, _members, _n_class
 from .placement import (ErrorPattern, Placement, SClass, guided_search, require_valid,
-                        triple_classes, _collides, _index_patterns)
-from .codec import _covered_triples, _first_claimants
+                        triple_classes, _collides, _le2_syndromes, _pattern_index)
+from .codec import _first_claimants, _strict_claims
 
 __all__ = [
     "CoverageReport", "three_bit_coverage", "CLASS_KEYS",
@@ -26,18 +26,6 @@ CLASS_KEYS = ("XXP", "PPP", "XPP", "XXX")
 #: survivor: 821,520 at n=9, 21 M at n=10.
 MAX_THEOREM4_WIDTH = 9
 MAX_MIN_PARITY_WIDTH = 12
-
-
-#: The class key of a triple, indexed by its number of data members.
-_CLASS_BY_DATA_COUNT = ("PPP", "XPP", "XXP", "XXX")
-
-
-def _class_key(pat: ErrorPattern) -> str:
-    return _CLASS_BY_DATA_COUNT[len(pat.data)]
-
-
-def _by_pattern(item: tuple[ErrorPattern, int]):
-    return item[0].sort_key()
 
 
 @dataclass(frozen=True)
@@ -88,12 +76,16 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
         require_valid(p)  # raises PlacementError with the collision report
     if mode not in ("strict", "assignable"):
         raise ValueError(f"unknown coverage mode {mode!r}")
-    rule = _covered_triples if mode == "strict" else _first_claimants
-    table = rule(p, {s for _idx, s in _index_patterns(p, (0, 1, 2))})
-    covered = tuple(sorted(((pat, s) for s, pat in table.items()), key=_by_pattern))
-    counts = Counter(_class_key(pat) for pat, _ in covered)
+    rule = _strict_claims if mode == "strict" else _first_claimants
+    won = rule(p, set(_le2_syndromes(p)))
+    index = _pattern_index(p.d, p.n, 3)
+    square = dict(zip(won.values(), won))
+    ranked = sorted(square, key=index.ranks.__getitem__)     # in pattern sort_key order
+    covered = tuple(zip(map(index.patterns.__getitem__, ranked), map(square.__getitem__, ranked)))
+    # a class key's X count is its number of data members
+    counts = Counter(map(index.data_counts.__getitem__, ranked))
     return CoverageReport(p, mode, covered,
-                          {k: counts.get(k, 0) for k in CLASS_KEYS}, len(covered))
+                          {k: counts[k.count("X")] for k in CLASS_KEYS}, len(covered))
 
 
 # ---------------------------------------------------------------------------

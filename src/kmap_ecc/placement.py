@@ -59,8 +59,8 @@ class ErrorPattern:
     def size(self) -> int:
         return len(self.data) + len(self.parities)
 
-    # the pattern walks hand out one interned instance per index tuple, so
-    # the label and sort key are worth computing once
+    # the pattern index hands out one instance per width and index tuple,
+    # so the label and sort key are worth computing once
 
     @cached_property
     def label(self) -> str:
@@ -337,26 +337,41 @@ class OccupiedResult:
         return not self.collisions
 
 
-@lru_cache(maxsize=4096)
-def _pattern(idx: tuple[int, ...], d: int) -> ErrorPattern:
-    """The error pattern flipping code bits `idx`, interned per index tuple.
+class _PatternIndex:
+    """The error patterns of one size over d data and n parity bits, in
+    combinations order over the code bits X_1..X_d, P_1..P_n (numbered
+    0..d+n-1), each with its index tuple.  Only an index of triples fills
+    the last three fields."""
 
-    Code bits are numbered 0..d+n-1: X_1..X_d, then P_1..P_n.
-    """
-    return ErrorPattern(frozenset(i + 1 for i in idx if i < d),
-                        frozenset(i - d + 1 for i in idx if i >= d))
+    __slots__ = ("idxs", "patterns", "all_data", "ranks", "data_counts")
+
+    def __init__(self, idxs, patterns, all_data=(), ranks=(), data_counts=()):
+        self.idxs, self.patterns = idxs, patterns
+        self.all_data = all_data        # the positions of the all-data triples
+        self.ranks = ranks              # each triple's place in sort_key order
+        self.data_counts = data_counts  # each triple's number of data members
 
 
-def _index_patterns(p: Placement, sizes: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(code-bit index tuple, syndrome) of every error pattern of each size in
-    `sizes`, by size and then in combinations order over X_1..X_d, P_1..P_n.
+@lru_cache(maxsize=None)
+def _pattern_index(d: int, n: int, size: int) -> _PatternIndex:
+    """The :class:`_PatternIndex` of one (d, n, size), built on first use:
+    every pattern walk at that width hands out the same instances."""
+    idxs = tuple(combinations(range(d + n), size))
+    patterns = tuple(ErrorPattern(frozenset(i + 1 for i in idx if i < d),
+                                  frozenset(i - d + 1 for i in idx if i >= d))
+                     for idx in idxs)
+    if size != 3:
+        return _PatternIndex(idxs, patterns)
+    by_key = sorted(range(len(patterns)), key=lambda i: patterns[i].sort_key())
+    ranks = tuple(sorted(range(len(by_key)), key=by_key.__getitem__))  # by_key inverted
+    counts = tuple(len(pat.data) for pat in patterns)
+    return _PatternIndex(idxs, patterns, tuple(i for i, k in enumerate(counts) if k == 3),
+                         ranks, counts)
 
-    A pattern's syndrome is the XOR of its members' column codes: X_i's
-    K-code, or the unit code of P_k.
-    """
-    cols = p.data + tuple(1 << k for k in range(p.n))
-    return chain.from_iterable(
-        zip(combinations(range(len(cols)), size), _syndromes(cols, size)) for size in sizes)
+
+def _columns(p: Placement) -> tuple[int, ...]:
+    """The column code of each code bit: X_i's K-code, then P_k's unit code."""
+    return p.data + _n_class(1, p.n)
 
 
 def _syndromes(cols: tuple[int, ...], size: int) -> list[int]:
@@ -370,6 +385,12 @@ def _syndromes(cols: tuple[int, ...], size: int) -> list[int]:
     return [reduce(xor, combo, 0) for combo in combinations(cols, size)]
 
 
+def _le2_syndromes(p: Placement) -> list[int]:
+    """The syndrome of every <=2-bit error pattern, by size, in index order."""
+    cols = _columns(p)
+    return [0, *cols, *_syndromes(cols, 2)]
+
+
 def occupied_map(p: Placement) -> OccupiedResult:
     """Assign every <=2-bit error pattern its syndrome square.
 
@@ -377,17 +398,18 @@ def occupied_map(p: Placement) -> OccupiedResult:
     distinct, otherwise the colliding groups; a collision is an inspection
     result, not an exception.
     """
-    if not _collides(p.data, p.n):
-        d = p.d
-        return OccupiedResult(p, {s: _pattern(idx, d)
-                                  for idx, s in _index_patterns(p, (0, 1, 2))}, ())
-    by_syndrome: dict[int, list[tuple[int, ...]]] = {}
-    for idx, code in _index_patterns(p, (0, 1, 2)):
-        by_syndrome.setdefault(code, []).append(idx)
+    syndromes = _le2_syndromes(p)
+    patterns = tuple(chain.from_iterable(_pattern_index(p.d, p.n, size).patterns
+                                         for size in (0, 1, 2)))
+    mapping = dict(zip(syndromes, patterns))
+    if len(mapping) == len(syndromes):
+        return OccupiedResult(p, mapping, ())
+    by_syndrome: dict[int, list[ErrorPattern]] = {}
+    for s, pat in zip(syndromes, patterns):
+        by_syndrome.setdefault(s, []).append(pat)
     clashes = tuple(
-        Collision(code, tuple(sorted((_pattern(idx, p.d) for idx in claims),
-                                     key=ErrorPattern.sort_key)))
-        for code, claims in sorted(by_syndrome.items())
+        Collision(s, tuple(sorted(claims, key=ErrorPattern.sort_key)))
+        for s, claims in sorted(by_syndrome.items())
         if len(claims) > 1
     )
     return OccupiedResult(p, None, clashes)

@@ -114,16 +114,22 @@ def grid_to_text(grid: MapGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quoted(label: str) -> str:
+    return '"' + label.replace('"', '""') + '"'
+
+
 def grid_to_csv(grid: MapGrid) -> str:
     """One line per labeled cell, by (row, column): its Gray row and column
-    labels and its label, under the header row,col,label."""
+    labels and its label, under the header row,col,label.  Lines end in
+    CRLF, and a label holding a comma, a quote or a line break is quoted, as
+    the csv module's default dialect writes them."""
     rows, cols = grid.layout._axes
     row_labels, col_labels = rows.labels, cols.labels
-    buf = io.StringIO()
-    csv.writer(buf).writerows(
-        [("row", "col", "label")]
-        + [(row_labels[r], col_labels[c], label) for (r, c), label in _by_position(grid.cells)])
-    return buf.getvalue()
+    return "".join(["row,col,label\r\n"] + [
+        f"{row_labels[r]},{col_labels[c]},{_quoted(label)}\r\n"
+        if "," in label or '"' in label or "\r" in label or "\n" in label
+        else f"{row_labels[r]},{col_labels[c]},{label}\r\n"
+        for (r, c), label in _by_position(grid.cells)])
 
 
 def grid_to_json(grid: MapGrid) -> dict:

@@ -2,8 +2,8 @@
 kernel replaced, kept as the reference the kernel is checked against, the
 pattern-level burst-ordering search the bitset walk replaced, the
 index-bitset ordering walk and grouping pass the memoized census replaced,
-and the frozenset pattern enumerator and triple-coverage rules the code-bit index
-walk replaced, a table decoder over received words as bit tuples, the
+and the frozenset pattern enumerator, triple claimants and triple-coverage
+rules the per-width pattern index replaced, a table decoder over received words as bit tuples, the
 candidate-by-candidate X_3 walk the class-pinned guided search replaced,
 the bitwise Gray-grid position, the grouping <=2-bit map, the
 per-cell map renderer and the formatted grid CSV writer and reader the
@@ -87,17 +87,24 @@ def occupied_map(p):
     return mapping, clashes
 
 
-def covered_triples(p):
-    """Strict triple coverage by listing every pattern: a free square goes to
-    its sole claimant, or to its sole claimant that is not all-data."""
+def claims(p):
+    """Each free square, one no <=2-bit pattern holds, hit by a triple,
+    mapped to its claimants: the triples whose syndrome it is, in pattern
+    order; the squares in the order they are first claimed."""
     base = {0} | {pat.syndrome(p) for pat in iter_patterns(p, (1, 2))}
     hits = {}
     for pat in iter_patterns(p, (3,)):
         s = pat.syndrome(p)
         if s not in base:
             hits.setdefault(s, []).append(pat)
+    return hits
+
+
+def covered_triples(p):
+    """Strict triple coverage by listing every pattern: a free square goes to
+    its sole claimant, or to its sole claimant that is not all-data."""
     out = {}
-    for s, pats in hits.items():
+    for s, pats in claims(p).items():
         strong = [q for q in pats if len(q.data) < 3]
         if len(strong) == 1:
             out[s] = strong[0]
@@ -108,13 +115,7 @@ def covered_triples(p):
 
 def assignable_triples(p):
     """Every free square hit by a triple, credited to its first claimant."""
-    base = {0} | {pat.syndrome(p) for pat in iter_patterns(p, (1, 2))}
-    table = {}
-    for pat in iter_patterns(p, (3,)):
-        s = pat.syndrome(p)
-        if s not in base and s not in table:
-            table[s] = pat
-    return table
+    return {s: pats[0] for s, pats in claims(p).items()}
 
 
 def decode_table(p, include_triples):

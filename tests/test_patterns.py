@@ -1,9 +1,10 @@
-"""The code-bit index pattern walk against the frozenset pattern oracles.
+"""The per-width pattern index against the frozenset pattern oracles.
 
-`iter_patterns`, `occupied_map`, `covered_triples`, `build_tables` and the
-assignable coverage mode all read patterns as tuples of code-bit indices (X_1..X_d,
-then P_1..P_n) and XOR column codes; `oracles` builds every pattern as a
-union of one-member ErrorPatterns and asks each one for its syndrome.
+`iter_patterns`, `occupied_map`, `covered_triples`, `build_tables` and both
+coverage modes all read their patterns from one index per (d, n, size) of
+code-bit index tuples (X_1..X_d, then P_1..P_n) and XOR column codes;
+`oracles` builds every pattern as a union of one-member ErrorPatterns and
+asks each one for its syndrome.
 """
 
 from itertools import combinations
@@ -11,10 +12,10 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from kmap_ecc.codec import (build_tables, covered_triples, iter_patterns, _claims,
-                            _first_claimants)
+from kmap_ecc.codec import build_tables, covered_triples, iter_patterns, _first_claimants
 from kmap_ecc.coverage import three_bit_coverage
-from kmap_ecc.placement import Placement, occupied_map, reference_placements, _pattern
+from kmap_ecc.placement import (ErrorPattern, Placement, is_valid, occupied_map,
+                                reference_placements, _pattern_index)
 
 SIZE_SETS = [s for r in range(4) for s in combinations((1, 2, 3), r)]
 
@@ -54,16 +55,59 @@ def test_square_contested_by_two_all_data_triples():
     first-claimant rule gives it to X_2X_3X_4."""
     p = Placement(10, (533, 527, 730, 777, 188, 142, 501, 1006))
     taken = occupied_map(p).mapping
-    claimants = [_pattern(idx, p.d).label for idx in _claims(p, taken)[988]]
+    claimants = [pat.label for pat in oracles.claims(p)[988]]
     assert claimants == ["X_2X_3X_4", "X_5X_6X_8"]
     strict = covered_triples(p)
     assert 988 not in strict and len(strict) == 401
     assert list(strict.items()) == list(oracles.covered_triples(p).items())
     assert (list(build_tables(p, True).decode.items())
             == list(oracles.decode_table(p, True).items()))
-    first = _first_claimants(p, taken)
+    patterns = _pattern_index(p.d, p.n, 3).patterns
+    first = {s: patterns[i] for s, i in _first_claimants(p, taken).items()}
     assert first[988].label == "X_2X_3X_4" and len(first) == 534
     assert list(first.items()) == list(oracles.assignable_triples(p).items())
+
+
+def _greedy_placement(d, n):
+    """d data bits at width n: the ascending codes that keep the placement
+    valid while there are any, then all-ones codes, which collide."""
+    data = []
+    for code in range(1, 1 << n):
+        if len(data) == d:
+            break
+        if is_valid(Placement(n, (*data, code))):
+            data.append(code)
+    return Placement(n, (*data, *[(1 << n) - 1] * (d - len(data))))
+
+
+def test_pattern_index_interns_each_pattern_once_per_width():
+    """Every (d, n, size) index lists the combinations of the d + n code
+    bits and one pattern of each, and every walk hands out those very
+    instances, at far more widths than a bounded per-pattern cache holds."""
+    for d in range(9):
+        for n in range(4, 17):
+            p = _greedy_placement(d, n)
+            for size in range(4):
+                index = _pattern_index(d, n, size)
+                assert index.idxs == tuple(combinations(range(d + n), size))
+                assert index.patterns == tuple(
+                    ErrorPattern.of(data=[i + 1 for i in idx if i < d],
+                                    parities=[i - d + 1 for i in idx if i >= d])
+                    for idx in index.idxs)
+                walked = list(iter_patterns(p, (size,)))
+                assert len(walked) == len(index.patterns)
+                assert all(a is b for a, b in zip(walked, index.patterns))
+            le2 = {id(pat) for size in range(3) for pat in _pattern_index(d, n, size).patterns}
+            result = occupied_map(p)
+            shown = (result.mapping.values() if result.valid
+                     else [pat for c in result.collisions for pat in c.patterns])
+            assert all(id(pat) in le2 for pat in shown)
+            triples = {id(pat) for pat in _pattern_index(d, n, 3).patterns}
+            assert all(id(pat) in triples for pat in covered_triples(p).values())
+            if d == 3 and result.valid:
+                for mode in ("strict", "assignable"):
+                    covered = three_bit_coverage(p, mode).covered
+                    assert all(id(pat) in triples for pat, _s in covered)
 
 
 @st.composite

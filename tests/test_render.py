@@ -148,7 +148,7 @@ def layouts(draw, n=None):
     return GrayLayout(n, tuple(vars_[:cut]), tuple(vars_[cut:]))
 
 
-LABELS = st.text(st.sampled_from("XP_0123456789Nf ,\"'"), max_size=8)
+LABELS = st.text(st.sampled_from("XP_0123456789Nf ,\"'\r\n"), max_size=8)
 
 
 @settings(max_examples=150, deadline=None)
