@@ -134,8 +134,7 @@ def _cmd_validate(args) -> int:
 def _cmd_codec_build(args) -> int:
     p = _load_placement(args.placement)
     tables = build_tables(p, include_triples=args.triples)
-    rows = [(s, label) for s, label in tables.rows()]
-    _emit_rows(rows, ["syndrome", "pattern"], args.format)
+    _emit_rows(tables.rows(), ["syndrome", "pattern"], args.format)
     return EXIT_OK
 
 
@@ -178,7 +177,7 @@ def _cmd_coverage_census(args) -> int:
     rows = coverage_mod.census(n=args.n, mode=args.mode, full=args.full,
                                threads=args.threads)
     header = ["family", "class", "realizable", "total", *coverage_mod.CLASS_KEYS]
-    _emit_rows([[r.to_json()[k] for k in header] for r in rows], header, args.format)
+    _emit_rows([list(map(r.to_json().__getitem__, header)) for r in rows], header, args.format)
     return EXIT_OK
 
 

@@ -27,8 +27,6 @@ __all__ = [
 
 
 _BITS = frozenset((0, 1))
-# The int of each common form of a data bit; True and 1.0 are keys equal to 1.
-_BIT_VALUE = {0: 0, 1: 1, "0": 0, "1": 1}
 _HEX_DIGITS = frozenset("0123456789abcdef")
 # Up to this many data bits, encode reads a tuple's data mask from one dict
 # and each table keeps the parity mask of every data mask in a 2^d list;
@@ -89,11 +87,6 @@ class Codeword:
     def hex(self) -> str:
         width = (self._d + self._n + 3) // 4
         return format(int(self.binary(), 2), f"0{width}x")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int], d: int) -> "Codeword":
-        bits = tuple(int(b) for b in bits)
-        return cls(bits[:d], bits[d:])
 
     @classmethod
     def from_string(cls, text: str, d: int, n: int) -> "Codeword":
@@ -160,15 +153,6 @@ def _data_bit(b) -> int:
     return x
 
 
-def _data_mask(data_bits: Sequence[int]) -> int:
-    """The data mask of bits in any form :func:`encode` takes: each a common
-    form of 0 or 1, else anything ``int`` reads exactly as one."""
-    try:
-        return _fold(map(_BIT_VALUE.__getitem__, data_bits))
-    except (KeyError, TypeError):
-        return _fold(map(_data_bit, data_bits))
-
-
 def encode(data_bits: Sequence[int], p: Placement, odd_parity: bool = False) -> Codeword:
     """Even parity: P_k is the XOR of the data bits whose code sets bit k."""
     d = p.d
@@ -177,7 +161,7 @@ def encode(data_bits: Sequence[int], p: Placement, odd_parity: bool = False) -> 
     try:
         data = _DATA_MASK[tuple(data_bits)]
     except (KeyError, TypeError):   # not 1 to _TABLE_D bits of 0 or 1, or unhashable
-        data = _data_mask(data_bits)
+        data = _fold(map(_data_bit, data_bits))
     parity = _parity(data, p.data)
     if odd_parity:
         parity ^= (1 << p.n) - 1

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from operator import xor
 from typing import Iterator, Sequence
 
 from .kcode import (check_code, check_width, n_class, parity_code, weight,
@@ -60,7 +59,7 @@ class ErrorPattern:
         return len(self.data) + len(self.parities)
 
     # the pattern index hands out one instance per width and index tuple,
-    # so the label and sort key are worth computing once
+    # so the label is worth computing once
 
     @cached_property
     def label(self) -> str:
@@ -86,10 +85,6 @@ class ErrorPattern:
         return cls(data, ps)
 
     def sort_key(self):
-        return self._key
-
-    @cached_property
-    def _key(self):
         return (tuple(sorted(self.data)), tuple(sorted(self.parities)))
 
     @cached_property
@@ -340,13 +335,12 @@ class OccupiedResult:
 class _PatternIndex:
     """The error patterns of one size over d data and n parity bits, in
     combinations order over the code bits X_1..X_d, P_1..P_n (numbered
-    0..d+n-1), each with its index tuple.  Only an index of triples fills
-    the last three fields."""
+    0..d+n-1).  Only an index of triples fills the last three fields."""
 
-    __slots__ = ("idxs", "patterns", "all_data", "ranks", "data_counts")
+    __slots__ = ("patterns", "all_data", "ranks", "data_counts")
 
-    def __init__(self, idxs, patterns, all_data=(), ranks=(), data_counts=()):
-        self.idxs, self.patterns = idxs, patterns
+    def __init__(self, patterns, all_data=(), ranks=(), data_counts=()):
+        self.patterns = patterns
         self.all_data = all_data        # the positions of the all-data triples
         self.ranks = ranks              # each triple's place in sort_key order
         self.data_counts = data_counts  # each triple's number of data members
@@ -356,16 +350,15 @@ class _PatternIndex:
 def _pattern_index(d: int, n: int, size: int) -> _PatternIndex:
     """The :class:`_PatternIndex` of one (d, n, size), built on first use:
     every pattern walk at that width hands out the same instances."""
-    idxs = tuple(combinations(range(d + n), size))
     patterns = tuple(ErrorPattern(frozenset(i + 1 for i in idx if i < d),
                                   frozenset(i - d + 1 for i in idx if i >= d))
-                     for idx in idxs)
+                     for idx in combinations(range(d + n), size))
     if size != 3:
-        return _PatternIndex(idxs, patterns)
+        return _PatternIndex(patterns)
     by_key = sorted(range(len(patterns)), key=lambda i: patterns[i].sort_key())
     ranks = tuple(sorted(range(len(by_key)), key=by_key.__getitem__))  # by_key inverted
     counts = tuple(len(pat.data) for pat in patterns)
-    return _PatternIndex(idxs, patterns, tuple(i for i, k in enumerate(counts) if k == 3),
+    return _PatternIndex(patterns, tuple(i for i, k in enumerate(counts) if k == 3),
                          ranks, counts)
 
 
@@ -375,14 +368,11 @@ def _columns(p: Placement) -> tuple[int, ...]:
 
 
 def _syndromes(cols: tuple[int, ...], size: int) -> list[int]:
-    """The XOR of each `size`-combination of `cols`, in combinations order."""
-    if size == 1:
-        return list(cols)
+    """The XOR of each `size`-combination of `cols`, in combinations order;
+    `size` is 2 or 3."""
     if size == 2:
         return [a ^ b for a, b in combinations(cols, 2)]
-    if size == 3:
-        return [a ^ b ^ c for a, b, c in combinations(cols, 3)]
-    return [reduce(xor, combo, 0) for combo in combinations(cols, size)]
+    return [a ^ b ^ c for a, b, c in combinations(cols, 3)]
 
 
 def _le2_syndromes(p: Placement) -> list[int]:

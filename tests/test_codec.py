@@ -395,7 +395,7 @@ def test_decode_matches_brute_force_oracle(refs, name, odd):
     tables = build_tables(p, include_triples=triples)
     table = oracles.decode_table(p, triples)
     for bits in product((0, 1), repeat=p.d + p.n):
-        fixed, report = decode(Codeword.from_bits(bits, p.d), tables, odd_parity=odd)
+        fixed, report = decode(Codeword(bits[:p.d], bits[p.d:]), tables, odd_parity=odd)
         assert ((report.status, report.syndrome, report.pattern, fixed.bits)
                 == oracles.decode(bits, p, table, odd))
 
@@ -447,7 +447,7 @@ def test_tables_pickle_and_copy_as_a_rebuild(refs, triples):
     table and no memo, and decodes every received word as it does."""
     p = refs["s447_433"]
     tables = build_tables(p, include_triples=triples)
-    words = [Codeword.from_bits(bits, p.d) for bits in product((0, 1), repeat=p.d + p.n)]
+    words = [Codeword(bits[:p.d], bits[p.d:]) for bits in product((0, 1), repeat=p.d + p.n)]
     want = [decode(w, tables, odd) for w in words for odd in (False, True)]
     for twin in (pickle.loads(pickle.dumps(tables)), copy.deepcopy(tables), copy.copy(tables)):
         assert type(twin) is CodecTables and twin == tables and not twin._squares
@@ -479,7 +479,7 @@ def test_memoized_decodes_match_brute_force_oracle(refs, name):
     table = oracles.decode_table(p, triples)
     for k, bits in enumerate(product((0, 1), repeat=p.d + p.n)):
         odd = k % 2 == 1
-        fixed, report = decode(Codeword.from_bits(bits, p.d), tables, odd_parity=odd)
+        fixed, report = decode(Codeword(bits[:p.d], bits[p.d:]), tables, odd_parity=odd)
         assert ((report.status, report.syndrome, report.pattern, fixed.bits)
                 == oracles.decode(bits, p, table, odd))
     unassigned = set(range(1, 1 << p.n)) - tables.decode.keys()

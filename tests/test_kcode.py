@@ -240,3 +240,19 @@ def test_source_has_no_dead_module_names():
                      if name.startswith("_") and not name.startswith("__")
                      and in_package[name] == (name in here)]
     assert not dead
+
+
+def test_source_has_no_unread_slots():
+    """Each ``__slots__`` entry of a package class is read, as an attribute
+    load, somewhere in the package: a slot only written is dead weight."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(kmap_ecc.__file__).parent.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    loaded = {node.attr for node in nodes
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.name}.{slot}"
+              for cls in nodes if isinstance(cls, ast.ClassDef)
+              for stmt in cls.body if isinstance(stmt, ast.Assign)
+              and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
+              for slot in ast.literal_eval(stmt.value) if slot not in loaded]
+    assert not unread
