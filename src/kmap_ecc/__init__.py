@@ -17,7 +17,7 @@ from .coverage import (CENSUS_FAMILIES, CoverageReport, MinParityReport,
                        Theorem4Report, census, full_coverage_search,
                        min_parity_search, theorem4_check, three_bit_coverage)
 from .burst import (BurstCensus, BurstGroup, Ordering, burst_triples,
-                    failing_window, is_burst_safe, search_orderings)
+                    failing_window, search_orderings)
 from .render import (CellDiff, MapGrid, diff_grids, grid_from_csv,
                      grid_to_csv, grid_to_json, grid_to_text, render_map)
 

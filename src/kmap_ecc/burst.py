@@ -2,21 +2,18 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from .coverage import CoverageReport
 from .kcode import _members
-from .placement import ErrorPattern
+from .placement import ErrorPattern, _LABEL_TOKEN
 
-__all__ = ["Ordering", "burst_triples", "is_burst_safe", "failing_window",
+__all__ = ["Ordering", "burst_triples", "failing_window",
            "BurstGroup", "BurstCensus", "search_orderings"]
 
 BURST_LENGTH = 3
 
 #: Most states the ordering search may memoize (the first n=9 map needs 88,230).
 BURST_STATE_BUDGET = 100_000
-
-_SYM = re.compile(r"([XP])_?(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -26,6 +23,11 @@ class Ordering:
     symbols: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        for kind, i in self.symbols:
+            # an index is an int >= 1: a bool, a float or a string is none
+            if kind not in ("X", "P") or type(i) is not int or i < 1:
+                raise ValueError(f"ordering symbol {(kind, i)!r} is not X_i or P_k, "
+                                 f"numbered from 1")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("ordering repeats a code bit")
 
@@ -33,7 +35,7 @@ class Ordering:
     def parse(cls, text: str) -> "Ordering":
         syms = []
         for tok in text.replace(" ", "").split(","):
-            m = _SYM.match(tok)
+            m = _LABEL_TOKEN.fullmatch(tok)
             if not m:
                 raise ValueError(f"bad ordering token {tok!r}")
             syms.append((m.group(1), int(m.group(2))))
@@ -42,12 +44,6 @@ class Ordering:
     @property
     def label(self) -> str:
         return ",".join(f"{k}{i}" for k, i in self.symbols)
-
-    def check_complete(self, d: int, n: int) -> "Ordering":
-        want = {("X", i) for i in range(1, d + 1)} | {("P", k) for k in range(1, n + 1)}
-        if set(self.symbols) != want:
-            raise ValueError(f"ordering must use X1..X{d} and P1..P{n} exactly once each")
-        return self
 
 
 def _window_pattern(window) -> ErrorPattern:
@@ -65,16 +61,14 @@ def burst_triples(o: Ordering) -> tuple[ErrorPattern, ...]:
 
 def failing_window(o: Ordering, report: CoverageReport) -> int | None:
     """Index of the first window that is not a covered pattern, else None."""
-    o.check_complete(report.placement.d, report.placement.n)
+    d, n = report.placement.d, report.placement.n
+    if set(o.symbols) != {("X", i) for i in range(1, d + 1)} | {("P", k) for k in range(1, n + 1)}:
+        raise ValueError(f"ordering must use X1..X{d} and P1..P{n} exactly once each")
     covered = report.covered_patterns()
     for i, pat in enumerate(burst_triples(o)):
         if pat not in covered:
             return i
     return None
-
-
-def is_burst_safe(o: Ordering, report: CoverageReport) -> bool:
-    return failing_window(o, report) is None
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def three_bit_coverage(p: Placement, mode: str = "strict") -> CoverageReport:
     """
     if p.d != 3:
         raise ValueError(f"three-bit coverage is defined for 3-data-bit placements, got d={p.d}")
-    if _collides(p.data, p.n):
+    if _collides(p.data):
         require_valid(p)  # raises PlacementError with the collision report
     if mode not in ("strict", "assignable"):
         raise ValueError(f"unknown coverage mode {mode!r}")

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import Iterator, Sequence
 
-from .kcode import (check_code, check_width, n_class, parity_code, weight,
+from .kcode import (check_code, check_width, from_parities, n_class, weight,
                     _codes, _n_class)
 
 __all__ = [
@@ -46,9 +46,12 @@ class ErrorPattern:
     parities: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if min(self.data, default=1) < 1 or min(self.parities, default=1) < 1:
-            raise ValueError(f"pattern members are numbered from 1: data "
-                             f"{sorted(self.data)}, parities {sorted(self.parities)}")
+        # a bool, a float or a string is no member, though it may compare as one
+        bad = [f"{kind}_{i!r}" for kind, members in (("X", self.data), ("P", self.parities))
+               for i in members if type(i) is not int or i < 1]
+        if bad:
+            raise ValueError(f"pattern members are numbered from 1, got "
+                             f"{', '.join(sorted(bad))}")
 
     @classmethod
     def of(cls, data=(), parities=()) -> "ErrorPattern":
@@ -90,28 +93,20 @@ class ErrorPattern:
     @cached_property
     def _data_mask(self) -> int:
         """The data bits it flips as a mask, X_i at bit i - 1."""
-        mask = 0
-        for i in self.data:
-            mask |= 1 << i - 1
-        return mask
+        return from_parities(self.data)
 
     @cached_property
     def _parity_mask(self) -> int:
         """The parity bits it flips as a mask, P_k at bit k - 1."""
-        mask = 0
-        for k in self.parities:
-            mask |= 1 << k - 1
-        return mask
+        return from_parities(self.parities)
 
     def syndrome(self, placement: "Placement") -> int:
         d, n = placement.d, placement.n
         if max(self.data, default=0) > d or max(self.parities, default=0) > n:
             raise self._past(d, n, "placement")
-        s = 0
+        s = self._parity_mask
         for i in self.data:
             s ^= placement.data[i - 1]
-        for k in self.parities:
-            s ^= parity_code(k)
         return s
 
     def _past(self, d: int, n: int, what: str) -> ValueError:
@@ -407,10 +402,10 @@ def occupied_map(p: Placement) -> OccupiedResult:
 
 def is_valid(p: Placement) -> bool:
     """True iff every <=2-bit error pattern owns a distinct syndrome square."""
-    return not _collides(p.data, p.n)
+    return not _collides(p.data)
 
 
-def _collides(data: Sequence[int], n: int, bound: int = 5) -> bool:
+def _collides(data: Sequence[int], bound: int = 5) -> bool:
     """True iff the code with data-bit codes `data` has minimum distance
     below `bound`: some nonempty data subset D with |D| < bound has
     ``|D| + weight(XOR of D) < bound``.
@@ -420,7 +415,7 @@ def _collides(data: Sequence[int], n: int, bound: int = 5) -> bool:
     their difference is a codeword of weight <= 2t.  So ``bound=5`` asks
     whether two <=2-bit patterns collide (the validity rule) and
     ``bound=7`` whether two <=3-bit patterns do.  The cost is C(d, <bound)
-    popcounts; `n` does not enter, as each parity bit's code is a unit.
+    popcounts; the width does not enter, as each parity bit's code is a unit.
     """
     sums = [(0, 0)]
     for x in data:
@@ -525,7 +520,7 @@ def naive_search(n: int, d: int, stats: SearchStats | None = None) -> Iterator[P
 def _naive_search(n: int, d: int, stats: SearchStats) -> Iterator[Placement]:
     for combo in combinations(_codes(4, n, n), d):
         stats.candidates_evaluated += 1
-        if not _collides(combo, n):
+        if not _collides(combo):
             stats.placements_emitted += 1
             yield _placement(n, combo)
 
@@ -548,7 +543,7 @@ def triple_classes(n: int) -> tuple[tuple[SClass, int], ...]:
         for x3 in _codes(4, n, n):      # a lighter X_3 always collides
             key = ((w1, w2, weight(x3)),
                    (dist, (x1 ^ x3).bit_count(), (x2 ^ x3).bit_count()))
-            if key not in found and not _collides((x1, x2, x3), n):
+            if key not in found and not _collides((x1, x2, x3)):
                 found[key] = double_weight_count(x3, (x1, x2), n)
     return tuple((SClass(*key), count)
                  for key, count in sorted(found.items(), key=lambda kv: (-kv[1], kv[0])))
@@ -592,18 +587,15 @@ def guided_search(
 
 def _guided_search(n: int, d: int, sclass: SClass | None,
                    stats: SearchStats) -> Iterator[Placement]:
-    if sclass is not None:
-        yield from _class_pinned_search(n, d, sclass, stats)
-        return
-
-    if d == 1:
+    if sclass is None and d == 1:
         for x1 in _codes(4, 5, n):
             stats.candidates_evaluated += 1
             stats.placements_emitted += 1
             yield _placement(n, (x1,))
         return
 
-    classes = ([cls for cls in _PAIR_CLASSES if cls.fits(n)] if d == 2
+    classes = ([sclass] if sclass is not None
+               else [cls for cls in _PAIR_CLASSES if cls.fits(n)] if d == 2
                else [cls for cls, _count in triple_classes(n)])
     for cls in classes:
         yield from _class_pinned_search(n, d, cls, stats)
@@ -687,7 +679,7 @@ def _extend_with_x4(n: int, trio: tuple[int, int, int], stats: SearchStats) -> I
         if x4 not in blocked:
             candidates.append((-_landings(x4, flanked, n), x4))
     for _prio, x4 in sorted(candidates):
-        if not _collides(trio + (x4,), n):
+        if not _collides(trio + (x4,)):
             stats.placements_emitted += 1
             yield _placement(n, trio + (x4,))
 

@@ -24,10 +24,6 @@ class MapGrid:
     layout: GrayLayout
     cells: dict  # (row, col) -> label; unlabeled squares are absent
 
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
     def label_at(self, row: int, col: int) -> str:
         return self.cells.get((row, col), "")
 

@@ -27,7 +27,7 @@ from kmap_ecc.placement import (SClass, SearchStats,
 from kmap_ecc.coverage import (CENSUS_FAMILIES, CLASS_KEYS, census,
                                min_parity_search, theorem4_check,
                                three_bit_coverage)
-from kmap_ecc.burst import Ordering, is_burst_safe, search_orderings
+from kmap_ecc.burst import Ordering, failing_window, search_orderings
 from kmap_ecc.render import diff_grids, grid_from_csv, render_map
 
 W4PLUS = [x for x in range(128) if weight(x) >= 4]
@@ -58,7 +58,7 @@ def test_c2_pair_counts_exhaustive():
     seen = {}
     for x1 in W4PLUS:
         for x2 in W4PLUS:
-            if x2 == x1 or _collides((x1, x2), 7):
+            if x2 == x1 or _collides((x1, x2)):
                 continue
             key = (weight(x1), weight(x2), weight(x1 ^ x2))
             seen.setdefault(key, set()).add(double_weight_count(x2, (x1,), 7))
@@ -83,7 +83,7 @@ def test_c3_table_counts_exhaustive_within_class(cls, target):
             continue
         for x2 in W4PLUS:
             if (x2 == x1 or weight(x2) != w2
-                    or weight(x1 ^ x2) != d12 or _collides((x1, x2), 7)):
+                    or weight(x1 ^ x2) != d12 or _collides((x1, x2))):
                 continue
             for x3 in range(128):
                 if (x3 in (x1, x2) or weight(x3) != w3
@@ -113,7 +113,7 @@ def test_c4_theorems_1_2_3():
     assert pairs3 > 0
     for x1 in W4PLUS:
         for x2 in W4PLUS:
-            if x2 <= x1 or _collides((x1, x2), 7):
+            if x2 <= x1 or _collides((x1, x2)):
                 continue
             x12 = x1 ^ x2
             assert weight(x12 ^ x1) >= 2 and weight(x12 ^ x2) >= 2
@@ -329,7 +329,7 @@ def test_c9_burst(refs):
     for text in ("X1,P7,P3,P6,X3,P2,P4,P1,P5,X2",
                  "X1,P2,P5,X3,P4,P3,P1,P6,P7,X2",
                  "X2,P5,X3,P2,P4,P3,P7,P6,P1,X1"):
-        assert is_burst_safe(Ordering.parse(text), report)
+        assert failing_window(Ordering.parse(text), report) is None
     cs = search_orderings(report)
     shapes = set(cs.shapes())
     assert {(0, 4, 9), (0, 3, 9), (0, 2, 9)} <= shapes

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from kmap_ecc.burst import (BURST_STATE_BUDGET, Ordering, burst_triples,
-                            failing_window, is_burst_safe, search_orderings)
+                            failing_window, search_orderings)
 from kmap_ecc.coverage import CENSUS_FAMILIES, census, three_bit_coverage
 from kmap_ecc.placement import Placement, SClass, guided_search, permute_bits
 
@@ -31,6 +31,22 @@ def test_ordering_parse_and_label():
     assert Ordering.parse("X_1,P_7,P_3,P_6,X_3,P_2,P_4,P_1,P_5,X_2") == o
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Ordering((("X", 1), ("Q", 2), ("P", 1), ("X", 2))),
+    lambda: Ordering((("X", 1), ("P", 0), ("X", 2))),
+    lambda: Ordering((("X", True), ("P", 1), ("X", 2))),
+    lambda: Ordering((("X", 1.0), ("P", 1), ("X", 2))),
+    lambda: Ordering((("X", "1"), ("P", 1), ("X", 2))),
+    lambda: Ordering.parse("X1,P0,X2"),
+    lambda: Ordering.parse(QUOTED[0] + "\n"),
+    lambda: Ordering.parse("X1,P7x,X2"),
+], ids=["kind-Q", "index-0", "index-bool", "index-float", "index-str", "parse-P0",
+        "parse-trailing-newline", "parse-trailing-text"])
+def test_ordering_refuses_symbols_that_name_no_code_bit(make):
+    with pytest.raises(ValueError, match="numbered from 1|bad ordering token"):
+        make()
+
+
 def test_burst_windows():
     o = Ordering.parse(QUOTED[0])
     windows = burst_triples(o)
@@ -47,7 +63,7 @@ def test_reversal_keeps_window_multiset():
 
 @pytest.mark.parametrize("text", QUOTED)
 def test_quoted_orderings_are_burst_safe(text, ref447_report):
-    assert is_burst_safe(Ordering.parse(text), ref447_report)
+    assert failing_window(Ordering.parse(text), ref447_report) is None
 
 
 def test_failing_window_is_named(ref447_report):
@@ -69,7 +85,7 @@ def test_census_shapes_and_counts(ref447_report):
     shapes = cs.shapes()
     assert shapes == tuple((0, k, 9) for k in range(1, 9))
     for g in cs.groups:
-        assert is_burst_safe(g.representative, ref447_report)
+        assert failing_window(g.representative, ref447_report) is None
         o = g.representative
         assert tuple(i for i, (kind, _) in enumerate(o.symbols) if kind == "X") == g.shape
 
@@ -103,7 +119,7 @@ def test_burst_safety_survives_coordinate_relabeling(refs, ref447_report):
             relabeled = Ordering(tuple(
                 (kind, perm[idx - 1] if kind == "P" else idx)
                 for kind, idx in o.symbols))
-            assert is_burst_safe(relabeled, report_q)
+            assert failing_window(relabeled, report_q) is None
 
 
 def test_census_threads_deterministic(ref447_report):
@@ -143,7 +159,7 @@ def test_census_at_width_8():
     assert (cs.total, len(cs.groups)) == (24384, 954)
     by_shape = {}
     for g in cs.groups:
-        assert is_burst_safe(g.representative, report)
+        assert failing_window(g.representative, report) is None
         by_shape[g.shape] = by_shape.get(g.shape, 0) + g.count
     for shape, count in by_shape.items():
         assert by_shape.get(tuple(sorted(10 - pos for pos in shape))) == count

@@ -256,3 +256,29 @@ def test_source_has_no_unread_slots():
               and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
               for slot in ast.literal_eval(stmt.value) if slot not in loaded]
     assert not unread
+
+
+#: Parameters kept though their function never reads them, with the reason.
+UNREAD_PARAMETERS_KEPT = {
+    "coverage.census.threads": "perfbench passes it (ROADMAP item 6)",
+    "burst.search_orderings.threads": "perfbench passes it (ROADMAP item 6)",
+}
+
+
+def test_source_has_no_unread_parameters():
+    """Each parameter of a package function, a method's receiver (``self``,
+    ``cls``) aside, is read, as a name load, in that function's body, nested
+    functions included: a parameter nothing reads changes nothing."""
+    unread = []
+    for path in sorted(Path(kmap_ecc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [p for p in (a.vararg, a.kwarg) if p]]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name}.{p}" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS_KEPT)

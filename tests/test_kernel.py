@@ -32,9 +32,9 @@ def test_kernel_matches_oracles_exhaustively_at_7():
     checked = 0
     for d in (1, 2, 3):
         for data in combinations(W4PLUS, d):
-            assert _collides(data, 7) == oracles.collides(data, 7), data
+            assert _collides(data) == oracles.collides(data, 7), data
             kind = oracles.first_collision_kind(data, 7)
-            assert _collides(data, 7, 7) == (kind is not None), data
+            assert _collides(data, bound=7) == (kind is not None), data
             checked += 1
     assert checked == 64 + math.comb(64, 2) + math.comb(64, 3)
 
@@ -50,9 +50,9 @@ def placements(draw):
 @given(placements())
 def test_kernel_matches_oracles_at_any_width(case):
     n, data = case
-    assert _collides(data, n) == oracles.collides(data, n)
+    assert _collides(data) == oracles.collides(data, n)
     kind = oracles.first_collision_kind(data, n)
-    assert _collides(data, n, 7) == (kind is not None)
+    assert _collides(data, bound=7) == (kind is not None)
 
 
 def _pruned_pairs(n):

@@ -59,8 +59,13 @@ def test_pattern_parse_round_trip():
     lambda: ErrorPattern.parse("P_0"),
     lambda: ErrorPattern.parse("X_0P_1"),
     lambda: ErrorPattern(frozenset({-1})),
+    lambda: ErrorPattern.of(data=[True]),
+    lambda: ErrorPattern.of(parities=[1.5]),
+    lambda: ErrorPattern.of(data=["1"]),
+    lambda: ErrorPattern.of(data=[2, "1", 0.5], parities=[False]),
 ], ids=["of-data-0", "of-parity-0", "of-parity-negative", "parse-P_0", "parse-X_0",
-        "constructor-negative"])
+        "constructor-negative", "of-data-bool", "of-parity-float", "of-data-str",
+        "of-mixed-types"])
 def test_pattern_members_below_1_are_rejected(make):
     with pytest.raises(ValueError, match="numbered from 1"):
         make()
