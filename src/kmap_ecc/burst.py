@@ -23,10 +23,12 @@ class Ordering:
     symbols: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        for kind, i in self.symbols:
-            # an index is an int >= 1: a bool, a float or a string is none
-            if kind not in ("X", "P") or type(i) is not int or i < 1:
-                raise ValueError(f"ordering symbol {(kind, i)!r} is not X_i or P_k, "
+        for sym in self.symbols:
+            # a symbol is a (kind, index) pair, and an index is an int >= 1:
+            # a bool, a float or a string is none
+            if not (isinstance(sym, tuple) and len(sym) == 2 and sym[0] in ("X", "P")
+                    and type(sym[1]) is int and sym[1] >= 1):
+                raise ValueError(f"ordering symbol {sym!r} is not X_i or P_k, "
                                  f"numbered from 1")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("ordering repeats a code bit")

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .kcode import check_width, _codes, _members, _n_class
+from .kcode import check_width, _codes, _members, _n_class, _translate
 from .placement import (ErrorPattern, Placement, SClass, guided_search, require_valid,
                         triple_classes, _collides, _le2_syndromes, _pattern_index)
 from .codec import _first_claimants, _strict_claims
@@ -272,10 +272,12 @@ def _triples(singles: Sequence[int], apart: int, radius: int, n: int):
     """Yield ``(a, b, thirds, far)`` for every pair a < b of the ascending
     `singles` at distance at least `apart`, lexicographically.  `thirds` is
     the bitset of the c > b at distance at least `apart` from both; `far`
-    holds those of them with weight(a ^ b ^ c) > `radius`."""
-    later = {a: sum(1 << b for b in singles[i + 1:] if (a ^ b).bit_count() >= apart)
-             for i, a in enumerate(singles)}
-    ball = _codes(0, radius, n)
+    holds those of them with weight(a ^ b ^ c) > `radius`.  The codes near
+    a centre are the bitset of a ball of small weights XOR-translated to it."""
+    near, inner = (sum(1 << t for t in _codes(0, r, n)) for r in (apart - 1, radius))
+    everyone = sum(1 << a for a in singles)
+    # the singles above a, less those within distance apart - 1 of it
+    later = {a: everyone & -(2 << a) & ~_translate(near, a, n) for a in singles}
     outside: dict[int, int] = {}     # a ^ b -> the codes outside its ball
     for a, partners in later.items():
         for b in _members(partners):
@@ -285,7 +287,7 @@ def _triples(singles: Sequence[int], apart: int, radius: int, n: int):
                 continue
             x = a ^ b
             if x not in outside:
-                outside[x] = ~sum(1 << (x ^ t) for t in ball)
+                outside[x] = ~_translate(inner, x, n)
             yield a, b, thirds, thirds & outside[x]
 
 

@@ -100,6 +100,28 @@ def _members(mask: int):
         mask ^= low
 
 
+@lru_cache(maxsize=None)
+def _swaps(n: int) -> tuple[tuple[int, int], ...]:
+    """Per bit j of an n-bit code, ``(2^j, low)``: in a bitset over the 2^n
+    codes, `low` marks the codes with bit j clear.  XOR by 2^j swaps each
+    run of 2^j of them with the run just above it."""
+    full = (1 << (1 << n)) - 1
+    return tuple((1 << j, ((1 << (1 << j)) - 1) * (full // ((1 << (2 << j)) - 1)))
+                 for j in range(n))
+
+
+def _translate(bits: int, x: int, n: int) -> int:
+    """The bitset ``{c ^ x : c in bits}`` of n-bit codes, one block swap
+    per set bit of x."""
+    swaps = _swaps(n)
+    while x:
+        low = x & -x
+        x ^= low
+        shift, mask = swaps[low.bit_length() - 1]
+        bits = (bits & mask) << shift | (bits >> shift) & mask
+    return bits
+
+
 def side_squares(code: int, order: int, n: int) -> tuple[int, ...]:
     """Squares at exact Hamming distance `order` (1 or 2) from `code`, ascending."""
     check_code(code, n)

@@ -156,8 +156,10 @@ class Placement:
                              f"got {self.data!r}")
         object.__setattr__(self, "data", tuple(self.data))
         object.__setattr__(self, "d", len(self.data))
+        limit = 1 << self.n
         for x in self.data:
-            check_code(x, self.n)
+            if not (type(x) is int and 0 <= x < limit):
+                check_code(x, self.n)   # raises, naming what is wrong
 
     def __reduce__(self):
         """Pickle and copy through the constructor, as (n, data): the default
@@ -518,11 +520,32 @@ def naive_search(n: int, d: int, stats: SearchStats | None = None) -> Iterator[P
 
 
 def _naive_search(n: int, d: int, stats: SearchStats) -> Iterator[Placement]:
-    for combo in combinations(_codes(4, n, n), d):
+    """The ascending tuples walked as a prefix tree.  A colliding prefix
+    collides in every extension, as the kernel's subsets only grow, so its
+    extensions are counted at once, not built: the counters at each yield
+    are those of the tuple-by-tuple walk."""
+    codes = _codes(4, n, n)
+    m = len(codes)
+    if d == 0:      # the one empty tuple, which nothing collides
         stats.candidates_evaluated += 1
-        if not _collides(combo):
-            stats.placements_emitted += 1
-            yield _placement(n, combo)
+        stats.placements_emitted += 1
+        yield _placement(n, ())
+        return
+
+    def walk(prefix: tuple[int, ...], start: int, left: int) -> Iterator[Placement]:
+        # `left` codes to place, this one included; the rest come after i
+        for i in range(start, m - left + 1):
+            combo = prefix + (codes[i],)
+            if _collides(combo):
+                stats.candidates_evaluated += math.comb(m - 1 - i, left - 1)
+            elif left > 1:
+                yield from walk(combo, i + 1, left - 1)
+            else:
+                stats.candidates_evaluated += 1
+                stats.placements_emitted += 1
+                yield _placement(n, combo)
+
+    yield from walk((), 0, d)
 
 
 @lru_cache(maxsize=8)

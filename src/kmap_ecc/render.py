@@ -27,9 +27,6 @@ class MapGrid:
     def label_at(self, row: int, col: int) -> str:
         return self.cells.get((row, col), "")
 
-    def sorted_cells(self) -> list[tuple[int, int, str]]:
-        return [(r, c, v) for (r, c), v in _by_position(self.cells)]
-
 
 def _by_position(cells: dict) -> list[tuple[tuple[int, int], str]]:
     """The cells' items by (row, col); positions are unique, so labels are
@@ -131,7 +128,7 @@ def grid_to_csv(grid: MapGrid) -> str:
 def grid_to_json(grid: MapGrid) -> dict:
     """Cells keyed by the integer K-code of the square."""
     lay = grid.layout
-    cells = {str(lay.from_grid(r, c)): label for r, c, label in grid.sorted_cells()}
+    cells = {str(lay.from_grid(r, c)): label for (r, c), label in _by_position(grid.cells)}
     return {"layout": lay.to_json(), "cells": cells}
 
 

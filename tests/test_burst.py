@@ -37,10 +37,13 @@ def test_ordering_parse_and_label():
     lambda: Ordering((("X", True), ("P", 1), ("X", 2))),
     lambda: Ordering((("X", 1.0), ("P", 1), ("X", 2))),
     lambda: Ordering((("X", "1"), ("P", 1), ("X", 2))),
+    lambda: Ordering((5,)),
+    lambda: Ordering((("X", 1, 2),)),
     lambda: Ordering.parse("X1,P0,X2"),
     lambda: Ordering.parse(QUOTED[0] + "\n"),
     lambda: Ordering.parse("X1,P7x,X2"),
-], ids=["kind-Q", "index-0", "index-bool", "index-float", "index-str", "parse-P0",
+], ids=["kind-Q", "index-0", "index-bool", "index-float", "index-str",
+        "symbol-not-pair", "symbol-triple", "parse-P0",
         "parse-trailing-newline", "parse-trailing-text"])
 def test_ordering_refuses_symbols_that_name_no_code_bit(make):
     with pytest.raises(ValueError, match="numbered from 1|bad ordering token"):

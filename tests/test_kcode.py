@@ -16,7 +16,7 @@ import kmap_ecc
 import oracles
 from kmap_ecc.kcode import (GrayLayout, default_layout, distance, from_parities,
                             gray, n_class, parities, parity_code,
-                            side_squares, weight)
+                            side_squares, weight, _translate)
 
 
 def test_weight_basics():
@@ -113,6 +113,18 @@ def test_parities_round_trip():
 
 
 # --- Gray layout ---
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_translate_matches_xor_of_each_member(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        members = {rng.randrange(1 << n) for _ in range(rng.randrange(12))}
+        x = rng.randrange(1 << n)
+        want = sum(1 << (c ^ x) for c in members)
+        assert _translate(sum(1 << c for c in members), x, n) == want
+    full = (1 << (1 << n)) - 1
+    assert _translate(full, (1 << n) - 1, n) == full
+
 
 def test_default_layout_splits():
     lay7 = default_layout(7)

@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,7 +308,8 @@ def test_guided_stream_pinned(key):
 
 #: (search, n, d, limit) -> (placements, SHA-256 of the
 #: (data, candidates evaluated, placements emitted) line read at each yield),
-#: taken from the search that walked X_3 through a bit generator.
+#: taken from the searches that walked X_3 through a bit generator and built
+#: every naive tuple.
 YIELD_COUNTER_PINS = {
     ("guided", 7, 3, None):
         (45360, "4620c44f59e369e516ed7b3b42cf12cb6a7c7720cd2e633d7756e0cdc96e2483"),
@@ -318,7 +319,28 @@ YIELD_COUNTER_PINS = {
         (20000, "006534fdcebf5526b00bbd617b718df7404b4be7ea80d0c7d5a2eea7de2a069a"),
     ("naive", 7, 4, 1):
         (1, "a92ed526f2064edcd8c2593f57e8eaf2e10102f6b19ad3381b42fdc327c49b5e"),
+    ("naive", 7, 3, None):
+        (10920, "95a867f29d62abe5fc19410f17c481432b078b5cd7ae5d977eae28ef471bd3d8"),
+    ("naive", 7, 4, 2000):
+        (2000, "24b609ba088f99efd5d027485107598a84a3abf1e3b3c8855b0051af2e24d537"),
 }
+
+
+@pytest.mark.parametrize("d, limit", [(1, None), (2, None), (3, None), (4, 500)])
+def test_naive_search_matches_every_tuple_filtered_by_oracle(d, limit):
+    """The prefix walk hands out what the tuple-by-tuple walk would, with the
+    same counters at every yield: a tuple counts when it is reached."""
+    def brute():
+        seen = 0
+        for combo in combinations([x for x in range(128) if weight(x) >= 4], d):
+            seen += 1
+            if not oracles.collides(combo, 7):
+                yield combo, seen
+    stats = SearchStats()
+    got = [(p.data, stats.candidates_evaluated, stats.placements_emitted)
+           for p in islice(naive_search(7, d, stats=stats), limit)]
+    want = [(combo, seen, k + 1) for k, (combo, seen) in enumerate(islice(brute(), limit))]
+    assert got == want
 
 
 @pytest.mark.parametrize("key", YIELD_COUNTER_PINS, ids=str)
