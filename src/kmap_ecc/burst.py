@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .coverage import CoverageReport
-from .kcode import _members
+from .kcode import _members, _setattr, _Value
 from .placement import ErrorPattern, _LABEL_TOKEN
 
 __all__ = ["Ordering", "burst_triples", "failing_window",
@@ -16,22 +15,22 @@ BURST_LENGTH = 3
 BURST_STATE_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(_Value):
     """A permutation of the code-bit identifiers, e.g. X1,P7,P3,...,X2."""
 
-    symbols: tuple[tuple[str, int], ...]
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        for sym in self.symbols:
+    def __init__(self, symbols: tuple[tuple[str, int], ...]):
+        for sym in symbols:
             # a symbol is a (kind, index) pair, and an index is an int >= 1:
             # a bool, a float or a string is none
             if not (isinstance(sym, tuple) and len(sym) == 2 and sym[0] in ("X", "P")
                     and type(sym[1]) is int and sym[1] >= 1):
                 raise ValueError(f"ordering symbol {sym!r} is not X_i or P_k, "
                                  f"numbered from 1")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("ordering repeats a code bit")
+        _setattr(self, "symbols", symbols)
 
     @classmethod
     def parse(cls, text: str) -> "Ordering":
@@ -73,23 +72,33 @@ def failing_window(o: Ordering, report: CoverageReport) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class BurstGroup:
-    shape: tuple[int, ...]        # sorted data positions
-    assignment: tuple[int, ...]   # data identities in transmission order
-    count: int
-    representative: Ordering
+class BurstGroup(_Value):
+    """The burst-safe orderings of one data shape and assignment: their
+    count and least ordering."""
+
+    _fields = ("shape", "assignment", "count", "representative")
+
+    def __init__(self, shape: tuple[int, ...], assignment: tuple[int, ...],
+                 count: int, representative: Ordering):
+        _setattr(self, "shape", shape)              # sorted data positions
+        _setattr(self, "assignment", assignment)    # data identities in transmission order
+        _setattr(self, "count", count)
+        _setattr(self, "representative", representative)
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "assignment": list(self.assignment),
                 "count": self.count, "representative": self.representative.label}
 
 
-@dataclass(frozen=True)
-class BurstCensus:
-    placement_json: dict
-    total: int
-    groups: tuple[BurstGroup, ...]
+class BurstCensus(_Value):
+    """Every burst-safe ordering of a placement, counted per group."""
+
+    _fields = ("placement_json", "total", "groups")
+
+    def __init__(self, placement_json: dict, total: int, groups: tuple[BurstGroup, ...]):
+        _setattr(self, "placement_json", placement_json)
+        _setattr(self, "total", total)
+        _setattr(self, "groups", groups)
 
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted({g.shape for g in self.groups}))

@@ -9,13 +9,13 @@ a parity read and an XOR, and a flip one XOR.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from functools import partial
 from itertools import product
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
+from .kcode import _setattr, _Value
 from .placement import (ErrorPattern, Placement, require_valid, _columns,
                         _le2_syndromes, _pattern_index, _syndromes)
 
@@ -248,32 +248,30 @@ def _first_claimants(p: Placement, taken: Collection[int]) -> dict[int, int]:
     return first
 
 
-@dataclass(frozen=True)
-class CodecTables:
+class CodecTables(_Value):
     """Immutable decoding tables: nonzero syndrome -> correctable pattern.
 
     ``_reader`` is what :func:`decode` reads of the placement: (d, n, data
     mask -> parity mask), the parity a list read up to ``_TABLE_D`` data
     bits and the bit loop past them.  ``_squares``, a memo filled by
-    :func:`decode` and not part of the value, maps each nonzero syndrome
-    decoded so far to its :class:`DecodeReport` and its pattern's flip mask
-    over the whole word (None for an uncorrectable square).
+    :func:`decode`, maps each nonzero syndrome decoded so far to its
+    :class:`DecodeReport` and its pattern's flip mask over the whole word
+    (None for an uncorrectable square).  Neither is part of the value.
     """
 
-    placement: Placement
-    decode: Mapping[int, ErrorPattern]
-    include_triples: bool
-    _reader: tuple[int, int, Callable[[int], int]] = field(
-        init=False, repr=False, compare=False)
-    _squares: dict[int, tuple["DecodeReport", int | None]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("placement", "decode", "include_triples")
 
-    def __post_init__(self):
-        codes = self.placement.data
+    def __init__(self, placement: Placement, decode: Mapping[int, ErrorPattern],
+                 include_triples: bool):
+        codes = placement.data
         d = len(codes)
         parity_of = (partial(_parity, codes=codes) if d > _TABLE_D else
                      [_parity(mask, codes) for mask in range(1 << d)].__getitem__)
-        object.__setattr__(self, "_reader", (d, self.placement.n, parity_of))
+        _setattr(self, "placement", placement)
+        _setattr(self, "decode", decode)
+        _setattr(self, "include_triples", include_triples)
+        _setattr(self, "_reader", (d, placement.n, parity_of))
+        _setattr(self, "_squares", {})
 
     def __reduce__(self):
         """Pickle and copy as a rebuild from the placement, the table's own
@@ -308,11 +306,16 @@ def _rebuild_tables(p: Placement, decode: dict[int, ErrorPattern],
     return CodecTables(p, MappingProxyType(decode), include_triples)
 
 
-@dataclass(frozen=True)
-class DecodeReport:
-    status: str            # "clean" | "corrected" | "uncorrectable"
-    syndrome: int
-    pattern: ErrorPattern | None
+class DecodeReport(_Value):
+    """What :func:`decode` found: its status, the syndrome and the pattern
+    it corrected, if any."""
+
+    _fields = ("status", "syndrome", "pattern")
+
+    def __init__(self, status: str, syndrome: int, pattern: ErrorPattern | None):
+        _setattr(self, "status", status)    # "clean" | "corrected" | "uncorrectable"
+        _setattr(self, "syndrome", syndrome)
+        _setattr(self, "pattern", pattern)
 
 
 _CLEAN = DecodeReport("clean", 0, None)

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
-from .kcode import check_width, _codes, _members, _n_class, _translate
+from .kcode import check_width, _codes, _members, _n_class, _setattr, _translate, _Value
 from .placement import (ErrorPattern, Placement, SClass, guided_search, require_valid,
                         triple_classes, _collides, _le2_syndromes, _pattern_index)
 from .codec import _first_claimants, _strict_claims
@@ -28,13 +27,20 @@ MAX_THEOREM4_WIDTH = 9
 MAX_MIN_PARITY_WIDTH = 12
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    placement: Placement
-    mode: str
-    covered: tuple[tuple[ErrorPattern, int], ...]
-    counts: Mapping[str, int]
-    total: int
+class CoverageReport(_Value):
+    """The triples a placement's table corrects under one coverage mode,
+    each with its syndrome, and their count per class key."""
+
+    _fields = ("placement", "mode", "covered", "counts", "total")
+
+    def __init__(self, placement: Placement, mode: str,
+                 covered: tuple[tuple[ErrorPattern, int], ...],
+                 counts: Mapping[str, int], total: int):
+        _setattr(self, "placement", placement)
+        _setattr(self, "mode", mode)
+        _setattr(self, "covered", covered)
+        _setattr(self, "counts", counts)
+        _setattr(self, "total", total)
 
     def covered_patterns(self) -> frozenset[ErrorPattern]:
         return frozenset(pat for pat, _ in self.covered)
@@ -106,14 +112,20 @@ CENSUS_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    family: int
-    sclass: str
-    realizable: bool
-    total: int
-    counts: Mapping[str, int]
-    placement: Placement | None
+class CensusRow(_Value):
+    """One census class: its family, whether the search realizes it, and
+    its representative's coverage."""
+
+    _fields = ("family", "sclass", "realizable", "total", "counts", "placement")
+
+    def __init__(self, family: int, sclass: str, realizable: bool, total: int,
+                 counts: Mapping[str, int], placement: Placement | None):
+        _setattr(self, "family", family)
+        _setattr(self, "sclass", sclass)
+        _setattr(self, "realizable", realizable)
+        _setattr(self, "total", total)
+        _setattr(self, "counts", counts)
+        _setattr(self, "placement", placement)
 
     def to_json(self) -> dict:
         return {
@@ -157,13 +169,18 @@ def census(n: int = 7, mode: str = "strict", full: bool = False,
 # theorem 4: all P_lP_mP_n triples cannot share a <=2 map at n=7
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Theorem4Report:
-    n: int
-    impossible: bool
-    singles_checked: int
-    triples_checked: int
-    survivors: tuple[tuple[int, int, int], ...]
+class Theorem4Report(_Value):
+    """The theorem 4 walk at one width: the trios that survive it, if any."""
+
+    _fields = ("n", "impossible", "singles_checked", "triples_checked", "survivors")
+
+    def __init__(self, n: int, impossible: bool, singles_checked: int,
+                 triples_checked: int, survivors: tuple[tuple[int, int, int], ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "impossible", impossible)
+        _setattr(self, "singles_checked", singles_checked)
+        _setattr(self, "triples_checked", triples_checked)
+        _setattr(self, "survivors", survivors)
 
     def __bool__(self) -> bool:
         return self.impossible
@@ -195,16 +212,26 @@ def theorem4_check(n: int = 7) -> Theorem4Report:
 # minimum-parity feasibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinParityReport:
-    n: int
-    pruned: bool
-    weight_candidates: int
-    pairs_meeting_conditions: int
-    triples_meeting_conditions: int
-    covering_placements: int
-    failure_kinds: Mapping[str, int]
-    witness: tuple[int, ...] | None
+class MinParityReport(_Value):
+    """The minimum-parity sweep at one width: its counts, failure kinds and
+    first covering placement."""
+
+    _fields = ("n", "pruned", "weight_candidates", "pairs_meeting_conditions",
+               "triples_meeting_conditions", "covering_placements",
+               "failure_kinds", "witness")
+
+    def __init__(self, n: int, pruned: bool, weight_candidates: int,
+                 pairs_meeting_conditions: int, triples_meeting_conditions: int,
+                 covering_placements: int, failure_kinds: Mapping[str, int],
+                 witness: tuple[int, ...] | None):
+        _setattr(self, "n", n)
+        _setattr(self, "pruned", pruned)
+        _setattr(self, "weight_candidates", weight_candidates)
+        _setattr(self, "pairs_meeting_conditions", pairs_meeting_conditions)
+        _setattr(self, "triples_meeting_conditions", triples_meeting_conditions)
+        _setattr(self, "covering_placements", covering_placements)
+        _setattr(self, "failure_kinds", failure_kinds)
+        _setattr(self, "witness", witness)
 
     @property
     def infeasible(self) -> bool:

@@ -8,13 +8,55 @@ codes from maps of different widths must never be mixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from typing import NamedTuple
+from operator import attrgetter
 
 MIN_WIDTH = 4
 MAX_WIDTH = 16
+
+_setattr = object.__setattr__
+
+
+class _Value:
+    """Base of the package's record classes.  A subclass names its fields
+    in ``_fields`` and stores each in its own ``__init__`` through
+    ``object.__setattr__``.  An instance then equals only an instance of
+    its own type with equal fields, hashes as the tuple of its fields,
+    reprs as ``Name(field=value, ...)`` and refuses to set or delete any
+    attribute, as a frozen dataclass does.  The package does not import
+    ``dataclasses``, which loads ``inspect`` and ``ast`` and would slow the
+    start of every CLI command."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)
+        # the fields as a tuple, a one-field class's too
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        """Refuse to set `name`, or without a value to delete it."""
+        from dataclasses import FrozenInstanceError     # on this path only
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _check_int(value, what: str) -> None:
@@ -139,8 +181,7 @@ def gray(i: int) -> int:
     return i ^ (i >> 1)
 
 
-@dataclass(frozen=True)
-class GrayLayout:
+class GrayLayout(_Value):
     """Assignment of parity variables to the two Gray-ordered grid axes.
 
     `row_vars` / `col_vars` list parity indices most-significant first; the
@@ -149,20 +190,20 @@ class GrayLayout:
     columns, descending, which reproduces the standard published maps.
     """
 
-    n: int
-    row_vars: tuple[int, ...]
-    col_vars: tuple[int, ...]
+    _fields = ("n", "row_vars", "col_vars")
 
-    def __post_init__(self):
-        check_width(self.n)
-        object.__setattr__(self, "row_vars", tuple(self.row_vars))
-        object.__setattr__(self, "col_vars", tuple(self.col_vars))
-        for k in self.row_vars + self.col_vars:
+    def __init__(self, n: int, row_vars: Iterable[int], col_vars: Iterable[int]):
+        check_width(n)
+        row_vars, col_vars = tuple(row_vars), tuple(col_vars)
+        for k in row_vars + col_vars:
             _check_int(k, "layout variable")
-        if sorted(self.row_vars + self.col_vars) != list(range(1, self.n + 1)):
+        if sorted(row_vars + col_vars) != list(range(1, n + 1)):
             raise ValueError("row_vars and col_vars must partition 1..n")
-        if not self.row_vars or not self.col_vars:
+        if not row_vars or not col_vars:
             raise ValueError("row_vars and col_vars must each hold a parity variable")
+        _setattr(self, "n", n)
+        _setattr(self, "row_vars", row_vars)
+        _setattr(self, "col_vars", col_vars)
 
     @property
     def row_count(self) -> int:
@@ -175,7 +216,7 @@ class GrayLayout:
     @cached_property
     def _axes(self) -> tuple["_Axis", "_Axis"]:
         """The row and the column :class:`_Axis` tables."""
-        return _Axis.of(self.row_vars), _Axis.of(self.col_vars)
+        return _Axis(self.row_vars), _Axis(self.col_vars)
 
     def to_grid(self, code: int) -> tuple[int, int]:
         """Map a K-code to its (row index, column index)."""
@@ -197,17 +238,16 @@ class GrayLayout:
         return cls(obj["n"], obj["row_vars"], obj["col_vars"])
 
 
-class _Axis(NamedTuple):
+class _Axis:
     """One grid axis as tables over its 2^|axis| positions."""
 
-    mask: int                   # the axis's parity bits
-    codes: tuple[int, ...]      # position -> the code's bits over the axis
-    labels: tuple[str, ...]     # position -> Gray label over the axis width
-    index: dict[int, int]       # code & mask -> position
-    by_label: dict[str, int]    # label -> position
+    __slots__ = ("mask",        # the axis's parity bits
+                 "codes",       # position -> the code's bits over the axis
+                 "labels",      # position -> Gray label over the axis width
+                 "index",       # code & mask -> position
+                 "by_label")    # label -> position
 
-    @classmethod
-    def of(cls, axis: tuple[int, ...]) -> "_Axis":
+    def __init__(self, axis: tuple[int, ...]):
         width = len(axis)
 
         def axis_code(index: int) -> int:
@@ -215,11 +255,11 @@ class _Axis(NamedTuple):
             g = gray(index)
             return sum(1 << (var - 1) for k, var in enumerate(axis) if g >> (width - 1 - k) & 1)
 
-        codes = tuple(axis_code(i) for i in range(1 << width))
-        labels = tuple(format(gray(i), f"0{width}b") for i in range(1 << width))
-        return cls(from_parities(axis), codes, labels,
-                   {code: i for i, code in enumerate(codes)},
-                   {label: i for i, label in enumerate(labels)})
+        self.mask = from_parities(axis)
+        self.codes = tuple(axis_code(i) for i in range(1 << width))
+        self.labels = tuple(format(gray(i), f"0{width}b") for i in range(1 << width))
+        self.index = {code: i for i, code in enumerate(self.codes)}
+        self.by_label = {label: i for i, label in enumerate(self.labels)}
 
 
 @lru_cache(maxsize=None)

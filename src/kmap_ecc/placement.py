@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from typing import Iterator, Sequence
 
 from .kcode import (check_code, check_width, from_parities, n_class, weight,
-                    _codes, _n_class)
+                    _codes, _n_class, _setattr, _Value)
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Collision",
@@ -38,20 +37,21 @@ __all__ = [
 _LABEL_TOKEN = re.compile(r"([XP])_?(\d+)")
 
 
-@dataclass(frozen=True)
-class ErrorPattern:
+class ErrorPattern(_Value):
     """A set of flipped code bits: data indices and parity indices (1-based)."""
 
-    data: frozenset[int] = frozenset()
-    parities: frozenset[int] = frozenset()
+    _fields = ("data", "parities")
 
-    def __post_init__(self):
+    def __init__(self, data: frozenset[int] = frozenset(),
+                 parities: frozenset[int] = frozenset()):
         # a bool, a float or a string is no member, though it may compare as one
-        bad = [f"{kind}_{i!r}" for kind, members in (("X", self.data), ("P", self.parities))
+        bad = [f"{kind}_{i!r}" for kind, members in (("X", data), ("P", parities))
                for i in members if type(i) is not int or i < 1]
         if bad:
             raise ValueError(f"pattern members are numbered from 1, got "
                              f"{', '.join(sorted(bad))}")
+        _setattr(self, "data", data)
+        _setattr(self, "parities", parities)
 
     @classmethod
     def of(cls, data=(), parities=()) -> "ErrorPattern":
@@ -130,8 +130,7 @@ class PlacementError(ValueError):
         self.collisions = tuple(collisions)
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(_Value):
     """Width n plus the ordered data-bit K-codes X_1..X_d.
 
     Construction checks ranges only; validity is a separate question so that
@@ -139,27 +138,22 @@ class Placement:
     number of data bits, is stored once and is not part of the value.
     """
 
-    # Slots named here, not through ``slots=True``: the class that option
-    # makes keeps a ``__setattr__`` bound to the class it replaced, which
-    # raises TypeError, not FrozenInstanceError, on a new attribute name.
-    # ``d`` has a slot but no annotation, so it is no field of the value.
     __slots__ = ("n", "data", "d")
+    _fields = ("n", "data")
 
-    n: int
-    data: tuple[int, ...]
-
-    def __post_init__(self):
-        check_width(self.n)
+    def __init__(self, n: int, data: Iterable[int]):
+        check_width(n)
         # a text or byte string iterates, but as characters or bytes, not codes
-        if isinstance(self.data, (str, bytes, bytearray)) or not hasattr(self.data, "__iter__"):
-            raise ValueError(f"placement data must be a sequence of K-codes, "
-                             f"got {self.data!r}")
-        object.__setattr__(self, "data", tuple(self.data))
-        object.__setattr__(self, "d", len(self.data))
-        limit = 1 << self.n
-        for x in self.data:
+        if isinstance(data, (str, bytes, bytearray)) or not hasattr(data, "__iter__"):
+            raise ValueError(f"placement data must be a sequence of K-codes, got {data!r}")
+        data = tuple(data)
+        limit = 1 << n
+        for x in data:
             if not (type(x) is int and 0 <= x < limit):
-                check_code(x, self.n)   # raises, naming what is wrong
+                check_code(x, n)    # raises, naming what is wrong
+        _set_n(self, n)
+        _set_data(self, data)
+        _set_d(self, len(data))
 
     def __reduce__(self):
         """Pickle and copy through the constructor, as (n, data): the default
@@ -192,18 +186,18 @@ def _placement(n: int, data: tuple[int, ...]) -> Placement:
     return p
 
 
-@dataclass(frozen=True)
-class SClass:
+class SClass(_Value):
     """Weights of X_1..X_k and their pairwise distances, distances in
     lexicographic pair order: (d12, d13, d23) for three data bits."""
 
-    weights: tuple[int, ...]
-    distances: tuple[int, ...]
+    _fields = ("weights", "distances")
 
-    def __post_init__(self):
-        k = len(self.weights)
-        if len(self.distances) != k * (k - 1) // 2:
+    def __init__(self, weights: tuple[int, ...], distances: tuple[int, ...]):
+        k = len(weights)
+        if len(distances) != k * (k - 1) // 2:
             raise ValueError("distance count does not match weight count")
+        _setattr(self, "weights", weights)
+        _setattr(self, "distances", distances)
 
     @classmethod
     def from_placement(cls, p: Placement) -> "SClass":
@@ -312,17 +306,26 @@ def forbidden_squares(x1: int, x2: int, n: int) -> frozenset[int]:
 # validity oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Collision:
-    syndrome: int
-    patterns: tuple[ErrorPattern, ...]
+class Collision(_Value):
+    """One syndrome square claimed by two or more <=2-bit error patterns."""
+
+    _fields = ("syndrome", "patterns")
+
+    def __init__(self, syndrome: int, patterns: tuple[ErrorPattern, ...]):
+        _setattr(self, "syndrome", syndrome)
+        _setattr(self, "patterns", patterns)
 
 
-@dataclass(frozen=True)
-class OccupiedResult:
-    placement: Placement
-    mapping: dict | None
-    collisions: tuple[Collision, ...]
+class OccupiedResult(_Value):
+    """A placement's <=2-bit syndrome map, or its collisions when it has any."""
+
+    _fields = ("placement", "mapping", "collisions")
+
+    def __init__(self, placement: Placement, mapping: dict | None,
+                 collisions: tuple[Collision, ...]):
+        _setattr(self, "placement", placement)
+        _setattr(self, "mapping", mapping)
+        _setattr(self, "collisions", collisions)
 
     @property
     def valid(self) -> bool:
@@ -497,12 +500,18 @@ MAX_GUIDED_D = 4
 NAIVE_TUPLE_BUDGET = 1_000_000
 
 
-@dataclass
-class SearchStats:
-    """Candidate-evaluation counters; part of the public search contract."""
+class SearchStats(_Value):
+    """Candidate-evaluation counters; part of the public search contract.
+    Mutable, so unhashable."""
 
-    candidates_evaluated: int = 0
-    placements_emitted: int = 0
+    _fields = ("candidates_evaluated", "placements_emitted")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, candidates_evaluated: int = 0, placements_emitted: int = 0):
+        self.candidates_evaluated = candidates_evaluated
+        self.placements_emitted = placements_emitted
 
 
 def naive_search(n: int, d: int, stats: SearchStats | None = None) -> Iterator[Placement]:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .kcode import GrayLayout, default_layout
+from .kcode import GrayLayout, default_layout, _setattr, _Value
 from .placement import Placement, forbidden_squares, require_valid
 from .codec import _covered_triples
 
@@ -19,10 +18,14 @@ ZERO_LABEL = "N"
 FORBIDDEN_MARK = "f"
 
 
-@dataclass(frozen=True)
-class MapGrid:
-    layout: GrayLayout
-    cells: dict  # (row, col) -> label; unlabeled squares are absent
+class MapGrid(_Value):
+    """A map's labeled squares by (row, col) position in its layout."""
+
+    _fields = ("layout", "cells")
+
+    def __init__(self, layout: GrayLayout, cells: dict):
+        _setattr(self, "layout", layout)
+        _setattr(self, "cells", cells)  # (row, col) -> label; unlabeled squares are absent
 
     def label_at(self, row: int, col: int) -> str:
         return self.cells.get((row, col), "")
@@ -68,12 +71,16 @@ def render_map(p: Placement, include_triples: bool = False,
     return MapGrid(layout, cells)
 
 
-@dataclass(frozen=True)
-class CellDiff:
-    row: int
-    col: int
-    a: str
-    b: str
+class CellDiff(_Value):
+    """One square labeled differently in two grids, with both labels."""
+
+    _fields = ("row", "col", "a", "b")
+
+    def __init__(self, row: int, col: int, a: str, b: str):
+        _setattr(self, "row", row)
+        _setattr(self, "col", col)
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
 
 
 def diff_grids(a: MapGrid, b: MapGrid) -> tuple[CellDiff, ...]:

@@ -1,9 +1,13 @@
 """CLI behavior: subcommands, exit codes, stream discipline."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kmap_ecc
 from kmap_ecc import cli
 from kmap_ecc.cli import main
 from kmap_ecc.placement import Placement
@@ -448,3 +452,20 @@ def test_bench_k0_is_empty(capsys):
     assert code == 1 and out == ""
     assert "usage error" in err and "at least 1" in err
 
+
+
+_START_UP = """
+import sys
+sys.path.insert(0, {src!r})
+import kmap_ecc.cli
+print(sorted({{"dataclasses", "inspect", "typing"}} & set(sys.modules)))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Each of the three adds milliseconds to every command's start.  The
+    interpreter runs without ``site``, which may preload ``typing``."""
+    src = str(Path(kmap_ecc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _START_UP.format(src=src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
