@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .coverage import CoverageReport
-from .kcode import _members, _setattr, _Value
+from .kcode import _members, _Value
 from .placement import ErrorPattern, _LABEL_TOKEN
 
 __all__ = ["Ordering", "burst_triples", "failing_window",
@@ -30,7 +30,7 @@ class Ordering(_Value):
                                  f"numbered from 1")
         if len(set(symbols)) != len(symbols):
             raise ValueError("ordering repeats a code bit")
-        _setattr(self, "symbols", symbols)
+        super().__init__(symbols)
 
     @classmethod
     def parse(cls, text: str) -> "Ordering":
@@ -74,16 +74,11 @@ def failing_window(o: Ordering, report: CoverageReport) -> int | None:
 
 class BurstGroup(_Value):
     """The burst-safe orderings of one data shape and assignment: their
-    count and least ordering."""
+    count and least ordering.  The shape is the sorted positions of the
+    data bits in the ordering, the assignment the data identities in
+    transmission order."""
 
     _fields = ("shape", "assignment", "count", "representative")
-
-    def __init__(self, shape: tuple[int, ...], assignment: tuple[int, ...],
-                 count: int, representative: Ordering):
-        _setattr(self, "shape", shape)              # sorted data positions
-        _setattr(self, "assignment", assignment)    # data identities in transmission order
-        _setattr(self, "count", count)
-        _setattr(self, "representative", representative)
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "assignment": list(self.assignment),
@@ -94,14 +89,6 @@ class BurstCensus(_Value):
     """Every burst-safe ordering of a placement, counted per group."""
 
     _fields = ("placement_json", "total", "groups")
-
-    def __init__(self, placement_json: dict, total: int, groups: tuple[BurstGroup, ...]):
-        _setattr(self, "placement_json", placement_json)
-        _setattr(self, "total", total)
-        _setattr(self, "groups", groups)
-
-    def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted({g.shape for g in self.groups}))
 
     def to_json(self) -> dict:
         return {"placement": self.placement_json, "total": self.total,

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 import time
 
@@ -272,6 +271,7 @@ def _theorem_pairs(n: int, samples: int, seed: int):
             for b in range(size):
                 yield a, b
         return
+    import random   # on this branch only: every other command skips its import
     rng = random.Random(seed)
     for _ in range(samples):
         yield rng.randrange(size), rng.randrange(size)

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
-from .kcode import check_width, _codes, _members, _n_class, _setattr, _translate, _Value
+from .kcode import check_width, _codes, _members, _n_class, _translate, _Value
 from .placement import (ErrorPattern, Placement, SClass, guided_search, require_valid,
                         triple_classes, _collides, _le2_syndromes, _pattern_index)
 from .codec import _first_claimants, _strict_claims
@@ -32,15 +32,6 @@ class CoverageReport(_Value):
     each with its syndrome, and their count per class key."""
 
     _fields = ("placement", "mode", "covered", "counts", "total")
-
-    def __init__(self, placement: Placement, mode: str,
-                 covered: tuple[tuple[ErrorPattern, int], ...],
-                 counts: Mapping[str, int], total: int):
-        _setattr(self, "placement", placement)
-        _setattr(self, "mode", mode)
-        _setattr(self, "covered", covered)
-        _setattr(self, "counts", counts)
-        _setattr(self, "total", total)
 
     def covered_patterns(self) -> frozenset[ErrorPattern]:
         return frozenset(pat for pat, _ in self.covered)
@@ -118,15 +109,6 @@ class CensusRow(_Value):
 
     _fields = ("family", "sclass", "realizable", "total", "counts", "placement")
 
-    def __init__(self, family: int, sclass: str, realizable: bool, total: int,
-                 counts: Mapping[str, int], placement: Placement | None):
-        _setattr(self, "family", family)
-        _setattr(self, "sclass", sclass)
-        _setattr(self, "realizable", realizable)
-        _setattr(self, "total", total)
-        _setattr(self, "counts", counts)
-        _setattr(self, "placement", placement)
-
     def to_json(self) -> dict:
         return {
             "family": self.family,
@@ -174,14 +156,6 @@ class Theorem4Report(_Value):
 
     _fields = ("n", "impossible", "singles_checked", "triples_checked", "survivors")
 
-    def __init__(self, n: int, impossible: bool, singles_checked: int,
-                 triples_checked: int, survivors: tuple[tuple[int, int, int], ...]):
-        _setattr(self, "n", n)
-        _setattr(self, "impossible", impossible)
-        _setattr(self, "singles_checked", singles_checked)
-        _setattr(self, "triples_checked", triples_checked)
-        _setattr(self, "survivors", survivors)
-
     def __bool__(self) -> bool:
         return self.impossible
 
@@ -219,19 +193,6 @@ class MinParityReport(_Value):
     _fields = ("n", "pruned", "weight_candidates", "pairs_meeting_conditions",
                "triples_meeting_conditions", "covering_placements",
                "failure_kinds", "witness")
-
-    def __init__(self, n: int, pruned: bool, weight_candidates: int,
-                 pairs_meeting_conditions: int, triples_meeting_conditions: int,
-                 covering_placements: int, failure_kinds: Mapping[str, int],
-                 witness: tuple[int, ...] | None):
-        _setattr(self, "n", n)
-        _setattr(self, "pruned", pruned)
-        _setattr(self, "weight_candidates", weight_candidates)
-        _setattr(self, "pairs_meeting_conditions", pairs_meeting_conditions)
-        _setattr(self, "triples_meeting_conditions", triples_meeting_conditions)
-        _setattr(self, "covering_placements", covering_placements)
-        _setattr(self, "failure_kinds", failure_kinds)
-        _setattr(self, "witness", witness)
 
     @property
     def infeasible(self) -> bool:

@@ -21,13 +21,17 @@ _setattr = object.__setattr__
 
 class _Value:
     """Base of the package's record classes.  A subclass names its fields
-    in ``_fields`` and stores each in its own ``__init__`` through
-    ``object.__setattr__``.  An instance then equals only an instance of
-    its own type with equal fields, hashes as the tuple of its fields,
-    reprs as ``Name(field=value, ...)`` and refuses to set or delete any
-    attribute, as a frozen dataclass does.  The package does not import
-    ``dataclasses``, which loads ``inspect`` and ``ast`` and would slow the
-    start of every CLI command."""
+    in ``_fields``, and the base takes them, in that order, positionally
+    or by name.  A subclass that checks its values writes its own
+    ``__init__`` and ends in the base's; one with slots, defaults or a
+    constructor on a timed path stores its own fields.  An instance then
+    equals only an instance of its own type with equal fields, hashes as
+    the tuple of its fields, reprs as ``Name(field=value, ...)`` and
+    refuses to set or delete any attribute, as a frozen dataclass does.
+    The package does not import ``dataclasses``, which loads ``inspect``
+    and ``ast`` and would slow the start of every CLI command; nor does
+    the base compile a constructor per class, as ``namedtuple`` does,
+    which would add its ``exec`` of each class to that start."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -37,6 +41,22 @@ class _Value:
         # the fields as a tuple, a one-field class's too
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
         cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs):
+        """Store the fields in ``_fields`` order: the positional arguments
+        first, then the rest by name."""
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            if len(args) > len(fields) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__qualname__} takes its fields "
+                                f"({', '.join(fields)}) once each; got {len(args)} "
+                                f"positional and the names ({', '.join(kwargs)})")
+            args += tuple(map(kwargs.get, rest))
+        # past the frozen guard; not through ``self.__dict__``, whose
+        # creation makes every later attribute read about 3x slower
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -201,9 +221,7 @@ class GrayLayout(_Value):
             raise ValueError("row_vars and col_vars must partition 1..n")
         if not row_vars or not col_vars:
             raise ValueError("row_vars and col_vars must each hold a parity variable")
-        _setattr(self, "n", n)
-        _setattr(self, "row_vars", row_vars)
-        _setattr(self, "col_vars", col_vars)
+        super().__init__(n, row_vars, col_vars)
 
     @property
     def row_count(self) -> int:

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations
 
 from .kcode import (check_code, check_width, from_parities, n_class, weight,
-                    _codes, _n_class, _setattr, _Value)
+                    _codes, _n_class, _Value)
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Collision",
@@ -50,8 +50,7 @@ class ErrorPattern(_Value):
         if bad:
             raise ValueError(f"pattern members are numbered from 1, got "
                              f"{', '.join(sorted(bad))}")
-        _setattr(self, "data", data)
-        _setattr(self, "parities", parities)
+        super().__init__(data, parities)
 
     @classmethod
     def of(cls, data=(), parities=()) -> "ErrorPattern":
@@ -100,22 +99,13 @@ class ErrorPattern(_Value):
         """The parity bits it flips as a mask, P_k at bit k - 1."""
         return from_parities(self.parities)
 
-    def syndrome(self, placement: "Placement") -> int:
-        d, n = placement.d, placement.n
-        if max(self.data, default=0) > d or max(self.parities, default=0) > n:
-            raise self._past(d, n, "placement")
-        s = self._parity_mask
-        for i in self.data:
-            s ^= placement.data[i - 1]
-        return s
-
-    def _past(self, d: int, n: int, what: str) -> ValueError:
-        """The error for a pattern with members past `what` of d data and n
+    def _past(self, d: int, n: int) -> ValueError:
+        """The error for a pattern with members past a word of d data and n
         parity bits."""
         past = [f"X_{i}" for i in sorted(self.data) if i > d]
         past += [f"P_{k}" for k in sorted(self.parities) if k > n]
         return ValueError(f"pattern {self.label} names {', '.join(past)}, "
-                          f"past a {what} of {d} data and {n} parity bits")
+                          f"past a word of {d} data and {n} parity bits")
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +186,7 @@ class SClass(_Value):
         k = len(weights)
         if len(distances) != k * (k - 1) // 2:
             raise ValueError("distance count does not match weight count")
-        _setattr(self, "weights", weights)
-        _setattr(self, "distances", distances)
+        super().__init__(weights, distances)
 
     @classmethod
     def from_placement(cls, p: Placement) -> "SClass":
@@ -226,9 +215,6 @@ class SClass(_Value):
         if not distances:       # one data bit: its weight, read whole
             return cls((int(weights),), ())
         return cls(tuple(map(int, weights)), tuple(map(int, distances)))
-
-    def sort_key(self):
-        return (self.weights, self.distances)
 
     def fits(self, n: int) -> bool:
         """True iff n-bit codes can have every weight and distance named."""
@@ -311,21 +297,11 @@ class Collision(_Value):
 
     _fields = ("syndrome", "patterns")
 
-    def __init__(self, syndrome: int, patterns: tuple[ErrorPattern, ...]):
-        _setattr(self, "syndrome", syndrome)
-        _setattr(self, "patterns", patterns)
-
 
 class OccupiedResult(_Value):
     """A placement's <=2-bit syndrome map, or its collisions when it has any."""
 
     _fields = ("placement", "mapping", "collisions")
-
-    def __init__(self, placement: Placement, mapping: dict | None,
-                 collisions: tuple[Collision, ...]):
-        _setattr(self, "placement", placement)
-        _setattr(self, "mapping", mapping)
-        _setattr(self, "collisions", collisions)
 
     @property
     def valid(self) -> bool:

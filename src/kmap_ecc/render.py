@@ -6,7 +6,7 @@ import csv
 import io
 from operator import itemgetter
 
-from .kcode import GrayLayout, default_layout, _setattr, _Value
+from .kcode import GrayLayout, default_layout, _Value
 from .placement import Placement, forbidden_squares, require_valid
 from .codec import _covered_triples
 
@@ -19,13 +19,11 @@ FORBIDDEN_MARK = "f"
 
 
 class MapGrid(_Value):
-    """A map's labeled squares by (row, col) position in its layout."""
+    """A map's labeled squares by (row, col) position in its layout:
+    ``cells`` maps (row, col) to a label, and an unlabeled square is
+    absent."""
 
     _fields = ("layout", "cells")
-
-    def __init__(self, layout: GrayLayout, cells: dict):
-        _setattr(self, "layout", layout)
-        _setattr(self, "cells", cells)  # (row, col) -> label; unlabeled squares are absent
 
     def label_at(self, row: int, col: int) -> str:
         return self.cells.get((row, col), "")
@@ -75,12 +73,6 @@ class CellDiff(_Value):
     """One square labeled differently in two grids, with both labels."""
 
     _fields = ("row", "col", "a", "b")
-
-    def __init__(self, row: int, col: int, a: str, b: str):
-        _setattr(self, "row", row)
-        _setattr(self, "col", col)
-        _setattr(self, "a", a)
-        _setattr(self, "b", b)
 
 
 def diff_grids(a: MapGrid, b: MapGrid) -> tuple[CellDiff, ...]:

@@ -9,7 +9,9 @@ the bitwise Gray-grid position, the grouping <=2-bit map, the
 per-cell map renderer and the formatted grid CSV writer and reader the
 valid-placement fast path and the layout tables replaced, the
 bit-at-a-time parity packing and syndrome fold the codec's byte tables
-replaced, and side squares by a scan of every square of the map.
+replaced, side squares by a scan of every square of the map, and the
+views only tests read: a pattern's syndrome, an S-class's sort key and a
+burst census's shapes.
 
 Each syndrome oracle lists error patterns and their syndromes outright,
 so it shares no reasoning with :func:`kmap_ecc.placement._collides` beyond
@@ -74,13 +76,33 @@ def iter_patterns(p, sizes=(1, 2)):
             yield ErrorPattern(data, ps)
 
 
+def pattern_syndrome(pattern, p):
+    """The square a pattern lands on: the XOR of its members' codes."""
+    s = 0
+    for k in pattern.parities:
+        s ^= 1 << (k - 1)
+    for i in pattern.data:
+        s ^= p.data[i - 1]
+    return s
+
+
+def sclass_key(cls):
+    """An S-class's sort key: its weights, then its distances."""
+    return (cls.weights, cls.distances)
+
+
+def burst_shapes(census):
+    """The distinct data shapes of a burst census's groups, ascending."""
+    return tuple(sorted({g.shape for g in census.groups}))
+
+
 def occupied_map(p):
     """Every <=2-bit pattern grouped under its syndrome, in first-claim
     order: (the syndrome -> pattern items, or None on a collision; the
     (syndrome, claimants by sort key) of each shared square, ascending)."""
     by_syndrome = {}
     for pat in iter_patterns(p, (0, 1, 2)):
-        by_syndrome.setdefault(pat.syndrome(p), []).append(pat)
+        by_syndrome.setdefault(pattern_syndrome(pat, p), []).append(pat)
     clashes = [(s, sorted(pats, key=ErrorPattern.sort_key))
                for s, pats in sorted(by_syndrome.items()) if len(pats) > 1]
     mapping = None if clashes else [(s, pats[0]) for s, pats in by_syndrome.items()]
@@ -91,10 +113,10 @@ def claims(p):
     """Each free square, one no <=2-bit pattern holds, hit by a triple,
     mapped to its claimants: the triples whose syndrome it is, in pattern
     order; the squares in the order they are first claimed."""
-    base = {0} | {pat.syndrome(p) for pat in iter_patterns(p, (1, 2))}
+    base = {0} | {pattern_syndrome(pat, p) for pat in iter_patterns(p, (1, 2))}
     hits = {}
     for pat in iter_patterns(p, (3,)):
-        s = pat.syndrome(p)
+        s = pattern_syndrome(pat, p)
         if s not in base:
             hits.setdefault(s, []).append(pat)
     return hits
@@ -121,7 +143,7 @@ def assignable_triples(p):
 def decode_table(p, include_triples):
     """Syndrome -> pattern for every 1- and 2-bit pattern, plus the strictly
     covered triples when asked."""
-    table = {pat.syndrome(p): pat for pat in iter_patterns(p, (1, 2))}
+    table = {pattern_syndrome(pat, p): pat for pat in iter_patterns(p, (1, 2))}
     if include_triples:
         table.update(covered_triples(p))
     return table

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import pytest
 
+import oracles
 from kmap_ecc.codec import build_tables, covered_triples, decode, encode, inject, iter_patterns
 from kmap_ecc.kcode import default_layout, weight
 from kmap_ecc.placement import (SClass, SearchStats,
@@ -72,7 +73,7 @@ def test_c2_pair_counts_exhaustive():
 @pytest.mark.criterion(3, "X_3 double-weight table reproduction")
 @pytest.mark.parametrize("cls,target", sorted(
     ((c, v) for c, v in X3_DOUBLE_WEIGHT_TABLE.items()),
-    key=lambda kv: kv[0].sort_key()), ids=lambda v: v.label if isinstance(v, SClass) else str(v))
+    key=lambda kv: oracles.sclass_key(kv[0])), ids=lambda v: v.label if isinstance(v, SClass) else str(v))
 def test_c3_table_counts_exhaustive_within_class(cls, target):
     """Every geometric realization of a listed class (valid pair and an X_3
     candidate matching the descriptor) produces the table's count."""
@@ -180,10 +181,10 @@ def _floor_and_strict(p):
     floor.  The strict set adds, for each square contested only by
     X_1X_2X_3 and one other triple, that other triple.
     """
-    taken = {0} | {q.syndrome(p) for q in iter_patterns(p, (1, 2))}
+    taken = {0} | {oracles.pattern_syndrome(q, p) for q in iter_patterns(p, (1, 2))}
     claims = {}
     for t in iter_patterns(p, (3,)):
-        s = t.syndrome(p)
+        s = oracles.pattern_syndrome(t, p)
         if s not in taken:
             claims.setdefault(s, []).append(t)
     floor = {c[0] for c in claims.values() if len(c) == 1}
@@ -331,7 +332,7 @@ def test_c9_burst(refs):
                  "X2,P5,X3,P2,P4,P3,P7,P6,P1,X1"):
         assert failing_window(Ordering.parse(text), report) is None
     cs = search_orderings(report)
-    shapes = set(cs.shapes())
+    shapes = set(oracles.burst_shapes(cs))
     assert {(0, 4, 9), (0, 3, 9), (0, 2, 9)} <= shapes
     by_shape = {}
     for g in cs.groups:

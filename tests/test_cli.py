@@ -458,13 +458,14 @@ _START_UP = """
 import sys
 sys.path.insert(0, {src!r})
 import kmap_ecc.cli
-print(sorted({{"dataclasses", "inspect", "typing"}} & set(sys.modules)))
+print(sorted({{"dataclasses", "inspect", "random", "typing"}} & set(sys.modules)))
 """
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    """Each of the three adds milliseconds to every command's start.  The
-    interpreter runs without ``site``, which may preload ``typing``."""
+def test_cli_import_loads_no_dataclasses_inspect_typing_or_random():
+    """Each of the four adds to every command's start; only
+    ``verify-theorems`` past n=7 samples with ``random``.  The interpreter
+    runs without ``site``, which may preload ``typing``."""
     src = str(Path(kmap_ecc.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", _START_UP.format(src=src)],
                           capture_output=True, text=True, timeout=60, check=True)

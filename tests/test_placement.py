@@ -71,16 +71,6 @@ def test_pattern_members_below_1_are_rejected(make):
         make()
 
 
-@pytest.mark.parametrize("pattern,past", [
-    (ErrorPattern.of(parities=(9,)), "P_9"),
-    (ErrorPattern.of(data=(4,)), "X_4"),
-    (ErrorPattern.of(data=(1, 5), parities=(2, 8)), "X_5, P_8"),
-])
-def test_pattern_syndrome_rejects_members_past_the_placement(refs, pattern, past):
-    with pytest.raises(ValueError, match=f"names {past}, past a placement of 3 data and 7 parity"):
-        pattern.syndrome(refs["s447_433"])
-
-
 # --- occupied map / validity ---
 
 def test_parity_only_map_occupies_29_squares():
@@ -414,7 +404,7 @@ def _pinned_classes(n):
     labels = [lab for fam in CENSUS_FAMILIES for lab in fam] + list(_UNREALIZABLE)
     labels += [f"S_{w1}{w2}^{dist}" for w1, w2, dist in BLESSED_PAIR_SITUATIONS]
     classes = {cls for cls, _count in triple_classes(n)}
-    return sorted(classes | {SClass.parse(lab) for lab in labels}, key=SClass.sort_key)
+    return sorted(classes | {SClass.parse(lab) for lab in labels}, key=oracles.sclass_key)
 
 
 @pytest.mark.parametrize("n,limit", [(7, None), (8, 2000)])

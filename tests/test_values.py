@@ -148,6 +148,28 @@ def test_pickle_and_copy_round_trips(cls):
             assert type(twin) is cls and twin == value and _fields(twin) == _fields(value)
 
 
+#: The classes that take their fields through the base's constructor.
+BASE_BUILT = [Collision, OccupiedResult, CoverageReport, CensusRow, Theorem4Report,
+              MinParityReport, BurstGroup, BurstCensus, MapGrid, CellDiff]
+
+
+@pytest.mark.parametrize("cls", BASE_BUILT, ids=lambda cls: cls.__name__)
+def test_base_constructor_takes_each_field_once(cls):
+    a, _ = _examples(cls)
+    names, values = VALUES[cls][0], _fields(a)
+    first, rest = names[0], dict(zip(names[1:], values[1:]))
+    # the leading fields by position and the rest by name, in any order
+    mixed = cls(values[0], **dict(reversed(rest.items())))
+    assert mixed == cls(*values) == a and _fields(mixed) == values
+    wanted = ", ".join(names)
+    for args, kwargs in [(values[:-1], {}),                     # a field missing
+                         (values + (0,), {}),                   # an extra positional
+                         (values, {"extra": 0}),                # an unknown name
+                         (values, {first: values[0]})]:         # a field given twice
+        with pytest.raises(TypeError, match=rf"{cls.__name__} takes its fields \({wanted}\)"):
+            cls(*args, **kwargs)
+
+
 def test_search_stats_mutable_and_unhashable():
     stats = SearchStats()
     stats.candidates_evaluated += 3
