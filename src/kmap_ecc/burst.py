@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .coverage import CoverageReport
 from .kcode import _members, _Value
 from .placement import ErrorPattern, _LABEL_TOKEN
@@ -11,7 +13,8 @@ __all__ = ["Ordering", "burst_triples", "failing_window",
 
 BURST_LENGTH = 3
 
-#: Most states the ordering search may memoize (the first n=9 map needs 88,230).
+#: Most states the ordering search may memoize: the first n=9 map needs
+#: 54,565 and the first n=10 one 88,790.
 BURST_STATE_BUDGET = 100_000
 
 
@@ -95,26 +98,55 @@ class BurstCensus(_Value):
                 "groups": [g.to_json() for g in self.groups]}
 
 
+def _covered_masks(report: CoverageReport) -> list[int]:
+    """Each covered triple as a bitset over the code bits 0..m-1 (X_1..X_d,
+    then P_1..P_n)."""
+    d = report.placement.d
+    return [pat._data_mask | pat._parity_mask << d for pat in report.covered_patterns()]
+
+
 def _allowed_thirds(report: CoverageReport) -> tuple[int, list[int]]:
     """Code bits numbered 0..m-1 (X_1..X_d, then P_1..P_n) and a flat table:
     ``allowed[a*m + b]`` is the bitset of the bits c for which {a, b, c} is a
     covered triple."""
-    d, m = report.placement.d, report.placement.d + report.placement.n
+    m = report.placement.d + report.placement.n
     allowed = [0] * (m * m)
-    for pat in report.covered_patterns():
-        a, b, c = _members(pat._data_mask | pat._parity_mask << d)
+    for mask in _covered_masks(report):
+        a, b, c = _members(mask)
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
             allowed[x * m + y] |= 1 << z
             allowed[y * m + x] |= 1 << z
     return m, allowed
 
 
-def _census(m: int, allowed: list[int], d: int) -> tuple:
-    """The orderings of 0..m-1 whose windows of three are all allowed, as
-    (key, (count, least ordering)) per data key, the (position, bit) pairs
-    of the bits below d.  A memoized DFS on the last two bits and the unused
-    ones, which fix the depth; the start (0, 0, all) allows any first two.
-    A dead end, a state with no allowed next bit, is not memoized."""
+def _twin_classes(report: CoverageReport) -> list[int]:
+    """The parity bits as classes of twins, each a bitset over the code
+    bits, ordered by least member.  Parity bits u and v are twins when
+    swapping them maps the covered triples onto themselves.  A product of
+    transpositions that keep a set keeps it, so twins of twins are twins,
+    and each bit is tried against the least member of each class so far.
+    Data bits are no one's twins: a burst group names them."""
+    d, m = report.placement.d, report.placement.d + report.placement.n
+    masks = set(_covered_masks(report))
+    classes: list[int] = []
+    for v in range(d, m):
+        for i, cls in enumerate(classes):
+            swap = (cls & -cls) | 1 << v
+            if all(x ^ swap in masks for x in masks if (x & swap).bit_count() == 1):
+                classes[i] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
+
+
+def _census(m: int, allowed: list[int], d: int, lower: list[int]) -> tuple:
+    """The orderings of 0..m-1 whose windows of three are all allowed and in
+    which bit c comes after every bit of ``lower[c]``, as (key, (count, least
+    ordering)) per data key, the (position, bit) pairs of the bits below d.
+    A memoized DFS on the last two bits and the unused ones, which fix the
+    depth; the start (0, 0, all) allows any first two.  A dead end, a state
+    with no allowed next bit, is not memoized."""
     memo: dict[int, tuple] = {}
 
     def walk(a: int, b: int, unused: int) -> tuple:
@@ -131,6 +163,8 @@ def _census(m: int, allowed: list[int], d: int) -> tuple:
                                  f"than its budget of {BURST_STATE_BUDGET:,} states")
             out: dict[tuple, tuple] = {}
             for c in _members(nexts):
+                if unused & lower[c]:
+                    continue
                 for key, (count, rest) in walk(b, c, unused ^ 1 << c):
                     key = ((depth, c),) + key if c < d else key
                     e = out.get(key)
@@ -148,12 +182,23 @@ def search_orderings(report: CoverageReport, threads: int = 1) -> BurstCensus:
     """Every burst-safe ordering, counted per (shape, data-identity
     assignment) group, each represented by its least ordering.  Raises
     ValueError when the walk would pass ``BURST_STATE_BUDGET`` states.
-    ``threads`` is accepted for compatibility and changes nothing."""
+    ``threads`` is accepted for compatibility and changes nothing.
+
+    Twin parity bits are walked in ascending order only: each group's other
+    orderings permute twins, which keeps every window covered and every
+    data position, so the count is multiplied by the product of the class
+    sizes' factorials, and the least ordering is one the walk visits."""
     p = report.placement
     symbols = ([("X", i) for i in range(1, p.d + 1)]
                + [("P", k) for k in range(1, p.n + 1)])
+    m, allowed = _allowed_thirds(report)
+    lower, orbit = [0] * m, 1
+    for cls in _twin_classes(report):
+        orbit *= math.factorial(cls.bit_count())
+        for c in _members(cls):
+            lower[c] = cls & ((1 << c) - 1)
     groups = [BurstGroup(tuple(pos for pos, _ in key), tuple(i + 1 for _, i in key),
-                         count, Ordering(tuple(symbols[i] for i in first)))
-              for key, (count, first) in _census(*_allowed_thirds(report), p.d)]
+                         count * orbit, Ordering(tuple(symbols[i] for i in first)))
+              for key, (count, first) in _census(m, allowed, p.d, lower)]
     groups.sort(key=lambda g: (g.shape, g.assignment))
     return BurstCensus(p.to_json(), sum(g.count for g in groups), tuple(groups))

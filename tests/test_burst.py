@@ -7,8 +7,9 @@ import random
 import pytest
 
 import oracles
-from kmap_ecc.burst import (BURST_STATE_BUDGET, Ordering, burst_triples,
-                            failing_window, search_orderings)
+from kmap_ecc.burst import (BURST_STATE_BUDGET, Ordering, _allowed_thirds,
+                            _twin_classes, burst_triples, failing_window,
+                            search_orderings)
 from kmap_ecc.coverage import CENSUS_FAMILIES, census, three_bit_coverage
 from kmap_ecc.placement import Placement, SClass, guided_search, permute_bits
 
@@ -150,8 +151,23 @@ def test_search_matches_pattern_oracle(data):
 
 @pytest.mark.parametrize("label", [lab for fam in CENSUS_FAMILIES for lab in fam])
 def test_census_representatives_match_index_walk(label):
+    # the twins are read from the covered set, which each rule builds its own way
     p = next(guided_search(7, 3, sclass=SClass.parse(label)))
-    _agrees_with_index_walk(three_bit_coverage(p))
+    for mode in ("strict", "assignable"):
+        _agrees_with_index_walk(three_bit_coverage(p, mode))
+
+
+def test_twin_classes_of_the_reference_map(ref447_report):
+    # code bit 2 + k is P_k: the twins are {P2,P7}, {P3,P5} and {P4,P6}
+    twins = [c for c in _twin_classes(ref447_report) if c.bit_count() > 1]
+    assert twins == [1 << 4 | 1 << 9, 1 << 5 | 1 << 7, 1 << 6 | 1 << 8]
+    # the walk lists the 80 orderings with each pair ascending and counts
+    # each for the 2!^3 = 8 orderings of its twins
+    walked = [o for o in oracles.index_walk(*_allowed_thirds(ref447_report))
+              if o.index(4) < o.index(9) and o.index(5) < o.index(7)
+              and o.index(6) < o.index(8)]
+    assert len(walked) == 80
+    assert search_orderings(ref447_report).total == 8 * len(walked)
 
 
 def test_census_at_width_8():
@@ -184,7 +200,7 @@ def test_search_and_census_start_no_process(monkeypatch, ref447_report):
     assert census(7, threads=4) == census(7)
 
 
-@pytest.mark.parametrize("n", [16])      # n=10 is refused in the width gate's child run
+@pytest.mark.parametrize("n", [16])      # n=10 completes in the width gate's child run
 def test_search_over_state_budget_is_refused(n):
     report = three_bit_coverage(next(guided_search(n, 3)))
     with pytest.raises(ValueError, match=f"budget of {BURST_STATE_BUDGET:,} states"):
