@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import re
 
 from .coverage import CoverageReport
 from .kcode import _members, _Value
-from .placement import ErrorPattern, _LABEL_TOKEN
+from .placement import ErrorPattern
 
 __all__ = ["Ordering", "burst_triples", "failing_window",
            "BurstGroup", "BurstCensus", "search_orderings"]
@@ -16,6 +17,8 @@ BURST_LENGTH = 3
 #: Most states the ordering search may memoize: the first n=9 map needs
 #: 54,565 and the first n=10 one 88,790.
 BURST_STATE_BUDGET = 100_000
+
+_LABEL_TOKEN = re.compile(r"([XP])_?(\d+)")
 
 
 class Ordering(_Value):

@@ -9,7 +9,7 @@ a parity read and an XOR, and a flip one XOR.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from functools import partial
 from itertools import product
 from operator import attrgetter
@@ -21,7 +21,7 @@ from .placement import (ErrorPattern, Placement, require_valid, _columns,
 
 __all__ = [
     "Codeword", "CodecTables", "DecodeReport",
-    "encode", "syndrome", "inject", "iter_patterns",
+    "encode", "syndrome", "inject",
     "covered_triples", "build_tables", "decode",
 ]
 
@@ -186,12 +186,6 @@ def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
     if data >> d or parity >> n:
         raise pattern._past(d, n)
     return _codeword(w ^ data ^ parity << d, d, n)
-
-
-def iter_patterns(p: Placement, sizes: Sequence[int] = (1, 2)) -> Iterator[ErrorPattern]:
-    """All error patterns of the given sizes, in deterministic order."""
-    for size in sizes:
-        yield from _pattern_index(p.d, p.n, size).patterns
 
 
 def covered_triples(p: Placement) -> dict[int, ErrorPattern]:

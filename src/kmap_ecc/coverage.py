@@ -16,7 +16,7 @@ __all__ = [
     "CoverageReport", "three_bit_coverage", "CLASS_KEYS",
     "CENSUS_FAMILIES", "CensusRow", "census",
     "Theorem4Report", "theorem4_check",
-    "MinParityReport", "min_parity_search", "full_coverage_search",
+    "MinParityReport", "min_parity_search",
 ]
 
 CLASS_KEYS = ("XXP", "PPP", "XPP", "XXX")
@@ -278,15 +278,3 @@ def _triples(singles: Sequence[int], apart: int, radius: int, n: int):
                 outside[x] = ~_translate(inner, x, n)
             yield a, b, thirds, thirds & outside[x]
 
-
-def full_coverage_search(n: int, limit: int = 1) -> list[Placement]:
-    """First `limit` 3-data placements covering every <=3-bit error, unpruned,
-    in lexicographic order, for the widths :func:`min_parity_search` takes."""
-    _check_min_parity_width(n)
-    out = []
-    for a, b, _thirds, cover in _triples(_codes(6, n, n), 5, 3, n):
-        for c in _members(cover):
-            if len(out) >= limit:
-                return out
-            out.append(Placement(n, (a, b, c)))
-    return out

@@ -120,11 +120,6 @@ def parity_code(k: int) -> int:
     return 1 << (k - 1)
 
 
-def parities(code: int) -> tuple[int, ...]:
-    """Ascending 1-indexed positions of the set bits."""
-    return tuple(k + 1 for k in range(code.bit_length()) if code >> k & 1)
-
-
 def from_parities(ks) -> int:
     code = 0
     for k in ks:

@@ -24,7 +24,6 @@ __all__ = [
     "occupied_map", "is_valid", "double_weight_count",
     "theorem1_overlap", "theorem2_overlap", "forbidden_squares",
     "guided_search", "MAX_GUIDED_D", "naive_search", "NAIVE_TUPLE_BUDGET",
-    "permute_bits",
     "BLESSED_PAIR_SITUATIONS", "X3_DOUBLE_WEIGHT_TABLE",
     "reference_placements", "triple_classes",
 ]
@@ -33,9 +32,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # error patterns
 # ---------------------------------------------------------------------------
-
-_LABEL_TOKEN = re.compile(r"([XP])_?(\d+)")
-
 
 class ErrorPattern(_Value):
     """A set of flipped code bits: data indices and parity indices (1-based)."""
@@ -70,21 +66,6 @@ class ErrorPattern(_Value):
             return "clean"
         return ("".join(f"X_{i}" for i in sorted(self.data))
                 + "".join(f"P_{k}" for k in sorted(self.parities)))
-
-    @classmethod
-    def parse(cls, label: str) -> "ErrorPattern":
-        label = label.strip()
-        if label in ("clean", ""):
-            return cls()
-        toks = _LABEL_TOKEN.findall(label)
-        joined = "".join(f"{kind}{idx}" for kind, idx in toks)
-        if not toks or joined != label.replace("_", ""):
-            raise ValueError(f"not an error-pattern label: {label!r}")
-        data = frozenset(int(i) for kind, i in toks if kind == "X")
-        ps = frozenset(int(i) for kind, i in toks if kind == "P")
-        if len(data) + len(ps) != len(toks):
-            raise ValueError(f"repeated member in pattern label: {label!r}")
-        return cls(data, ps)
 
     def sort_key(self):
         return (tuple(sorted(self.data)), tuple(sorted(self.parities)))
@@ -690,19 +671,6 @@ def _extend_with_x4(n: int, trio: tuple[int, int, int], stats: SearchStats) -> I
         if not _collides(trio + (x4,)):
             stats.placements_emitted += 1
             yield _placement(n, trio + (x4,))
-
-
-def permute_bits(p: Placement, perm: Sequence[int]) -> Placement:
-    """Relabel parity coordinates: perm[k-1] is the new position of old bit k."""
-    if sorted(perm) != list(range(1, p.n + 1)):
-        raise ValueError("perm must be a permutation of 1..n")
-    def remap(code: int) -> int:
-        out = 0
-        for k in range(1, p.n + 1):
-            if code >> (k - 1) & 1:
-                out |= 1 << (perm[k - 1] - 1)
-        return out
-    return Placement(p.n, tuple(remap(x) for x in p.data))
 
 
 def reference_placements() -> dict[str, Placement]:

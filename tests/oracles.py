@@ -10,8 +10,8 @@ per-cell map renderer and the formatted grid CSV writer and reader the
 valid-placement fast path and the layout tables replaced, the
 bit-at-a-time parity packing and syndrome fold the codec's byte tables
 replaced, side squares by a scan of every square of the map, and the
-views only tests read: a pattern's syndrome, an S-class's sort key and a
-burst census's shapes.
+views only tests read: a pattern's syndrome, an S-class's sort key, a
+burst census's shapes and a placement with its parity bits relabelled.
 
 Each syndrome oracle lists error patterns and their syndromes outright,
 so it shares no reasoning with :func:`kmap_ecc.placement._collides` beyond
@@ -23,7 +23,7 @@ import io
 from itertools import combinations
 
 from kmap_ecc.burst import BurstCensus, BurstGroup, Ordering, _allowed_thirds
-from kmap_ecc.placement import ErrorPattern
+from kmap_ecc.placement import ErrorPattern, Placement
 
 
 def collides(data, n):
@@ -94,6 +94,13 @@ def sclass_key(cls):
 def burst_shapes(census):
     """The distinct data shapes of a burst census's groups, ascending."""
     return tuple(sorted({g.shape for g in census.groups}))
+
+
+def permute_bits(p, perm):
+    """The placement with parity coordinates relabelled: perm[k-1] is the
+    new position of old bit k."""
+    return Placement(p.n, tuple(sum(1 << (perm[k] - 1) for k in range(p.n) if x >> k & 1)
+                                for x in p.data))
 
 
 def occupied_map(p):

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import oracles
-from kmap_ecc.codec import build_tables, covered_triples, decode, encode, inject, iter_patterns
+from kmap_ecc.codec import build_tables, covered_triples, decode, encode, inject
 from kmap_ecc.kcode import default_layout, weight
 from kmap_ecc.placement import (SClass, SearchStats,
                                 X3_DOUBLE_WEIGHT_TABLE, _collides,
@@ -181,9 +181,9 @@ def _floor_and_strict(p):
     floor.  The strict set adds, for each square contested only by
     X_1X_2X_3 and one other triple, that other triple.
     """
-    taken = {0} | {oracles.pattern_syndrome(q, p) for q in iter_patterns(p, (1, 2))}
+    taken = {0} | {oracles.pattern_syndrome(q, p) for q in oracles.iter_patterns(p, (1, 2))}
     claims = {}
-    for t in iter_patterns(p, (3,)):
+    for t in oracles.iter_patterns(p, (3,)):
         s = oracles.pattern_syndrome(t, p)
         if s not in taken:
             claims.setdefault(s, []).append(t)
@@ -206,7 +206,7 @@ def _corrected_triples(p):
     """Triples the --triples table decoder corrects in every data word."""
     tables = build_tables(p, include_triples=True)
     words = [encode([v >> i & 1 for i in range(p.d)], p) for v in range(1 << p.d)]
-    return {t for t in iter_patterns(p, (3,))
+    return {t for t in oracles.iter_patterns(p, (3,))
             if all(decode(inject(w, t), tables)[0] == w for w in words)}
 
 
@@ -299,7 +299,7 @@ def test_c7_reference_grids(refs, fixture_dir):
 def test_c8_codec_round_trips(refs):
     p = refs["s447_433"]
     tables = build_tables(p, include_triples=True)
-    small = list(iter_patterns(p, (1, 2)))
+    small = list(oracles.iter_patterns(p, (1, 2)))
     assert len(small) == 55
     triples = list(covered_triples(p).values())
     assert len(triples) == 49
@@ -312,7 +312,7 @@ def test_c8_codec_round_trips(refs):
 
     p4 = next(guided_search(7, 4))
     tables4 = build_tables(p4)
-    small4 = list(iter_patterns(p4, (1, 2)))
+    small4 = list(oracles.iter_patterns(p4, (1, 2)))
     assert len(small4) == 66
     for value in range(16):
         bits = [value >> i & 1 for i in range(4)]

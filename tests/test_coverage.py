@@ -5,12 +5,11 @@ import random
 
 import pytest
 
+import oracles
 from kmap_ecc.codec import build_tables, decode, encode, inject
 from kmap_ecc.kcode import weight
-from kmap_ecc.placement import SClass, guided_search, permute_bits
-from kmap_ecc.coverage import (census, full_coverage_search,
-                               min_parity_search, theorem4_check,
-                               three_bit_coverage)
+from kmap_ecc.placement import SClass, guided_search
+from kmap_ecc.coverage import census, min_parity_search, theorem4_check, three_bit_coverage
 
 #: frozen outputs of the default interpretation, one per family, as
 #: (total, XXP, PPP, XPP, XXX); regression-pinned, see also test_acceptance
@@ -76,7 +75,7 @@ def test_coverage_invariant_under_bit_permutation(refs):
     for _ in range(10):
         perm = list(range(1, 8))
         rng.shuffle(perm)
-        q = permute_bits(refs["s445_433"], perm)
+        q = oracles.permute_bits(refs["s445_433"], perm)
         assert as_tuple(three_bit_coverage(q)) == base
 
 
@@ -91,12 +90,11 @@ def test_covered_triples_decode_through_codec(refs):
 
 
 def test_uncovered_triples_never_decode_to_themselves(refs):
-    from kmap_ecc.codec import iter_patterns
     p = refs["s447_433"]
     covered = three_bit_coverage(p).covered_patterns()
     tables = build_tables(p, include_triples=True)
     clean = encode([1, 0, 1], p)
-    for pat in iter_patterns(p, (3,)):
+    for pat in oracles.iter_patterns(p, (3,)):
         if pat in covered:
             continue
         fixed, rep = decode(inject(clean, pat), tables)
@@ -198,17 +196,16 @@ def test_min_parity_10_infeasible(min_parity_10):
 def test_unpruned_search_refutes_the_claim_at_10():
     # without the N_5 restriction a 10-parity map covering every
     # three-bit error exists; the literature-style pruning hides it
-    witnesses = full_coverage_search(10, limit=1)
-    assert witnesses
-    p = witnesses[0]
-    assert all(weight(x) >= 6 for x in p.data)
+    witness = min_parity_search(10, pruned=False).witness
+    assert witness
+    assert all(weight(x) >= 6 for x in witness)
 
 
 @pytest.mark.parametrize("n", [0, 2, 3, 13])
 def test_min_parity_searches_reject_widths_outside_range(n):
-    for search in (min_parity_search, full_coverage_search):
+    for pruned in (True, False):
         with pytest.raises(ValueError, match="supports widths 4..12"):
-            search(n)
+            min_parity_search(n, pruned)
 
 
 def test_unpruned_8_and_9_infeasible():

@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from kmap_ecc.coverage import (MinParityReport, Theorem4Report, full_coverage_search,
-                               min_parity_search, theorem4_check)
+from kmap_ecc.coverage import (MinParityReport, Theorem4Report, min_parity_search,
+                               theorem4_check)
 from kmap_ecc.kcode import weight
-from kmap_ecc.placement import Placement, _collides
+from kmap_ecc.placement import _collides
 
 W4PLUS = [x for x in range(128) if weight(x) >= 4]
 
@@ -133,7 +133,6 @@ def test_unpruned_min_parity_10_pinned():
         assert min_parity_search(n, pruned=False) == _unpruned_report(n, *counts, (63, 455, 729))
 
 
-@lru_cache(maxsize=None)
 def _first_covering_triples(n, k):
     """Lexicographic walk over code triples, decided by the pattern oracle."""
     singles = [x for x in range(1 << n) if oracles.first_collision_kind((x,), n) is None]
@@ -150,17 +149,8 @@ def _first_covering_triples(n, k):
     return out
 
 
-def test_full_coverage_search_is_the_lexicographic_prefix():
-    expected = _first_covering_triples(10, 200)
-    for k in (1, 7, 40):
-        assert [p.data for p in full_coverage_search(10, limit=k)] == expected[:k]
-    assert full_coverage_search(9, limit=5) == []
-
-
-def test_full_coverage_search_matches_covering_reference():
-    expected = _first_covering_triples(10, 200)
-    assert len(expected) == 200
-    assert full_coverage_search(10, limit=200) == [Placement(10, t) for t in expected]
+def test_unpruned_witness_is_the_first_covering_triple():
+    assert [min_parity_search(10, pruned=False).witness] == _first_covering_triples(10, 1)
 
 
 def _brute_force_theorem4_report(n):

@@ -1,8 +1,8 @@
 """The per-width pattern index against the frozenset pattern oracles.
 
-`iter_patterns`, `occupied_map`, `covered_triples`, `build_tables` and both
-coverage modes all read their patterns from one index per (d, n, size) of
-code-bit index tuples (X_1..X_d, then P_1..P_n) and XOR column codes;
+`occupied_map`, `covered_triples`, `build_tables` and both coverage modes
+all read their patterns from one index per (d, n, size) of code-bit index
+tuples (X_1..X_d, then P_1..P_n) and XOR column codes;
 `oracles` builds every pattern as a union of one-member ErrorPatterns and
 asks each one for its syndrome.
 """
@@ -12,13 +12,10 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from kmap_ecc.codec import build_tables, covered_triples, iter_patterns, _first_claimants
+from kmap_ecc.codec import build_tables, covered_triples, _first_claimants
 from kmap_ecc.coverage import three_bit_coverage
 from kmap_ecc.placement import (ErrorPattern, Placement, is_valid, occupied_map,
-                                reference_placements, _pattern_index)
-
-SIZE_SETS = [s for r in range(4) for s in combinations((1, 2, 3), r)]
-
+                                _pattern_index)
 
 def _assert_walk_matches_oracle(p):
     assert list(covered_triples(p).items()) == list(oracles.covered_triples(p).items())
@@ -38,14 +35,6 @@ def _assert_walk_matches_oracle(p):
 def test_survey_placements_match_oracle_in_insertion_order(survey_placements):
     for p in survey_placements:
         _assert_walk_matches_oracle(p)
-
-
-def test_iter_patterns_matches_oracle_for_every_size_set():
-    invalid = [Placement(7, (0b1111, 0b1111)), Placement(7, (3,)), Placement(4, ())]
-    for p in [Placement(10, (63, 455, 729)), *reference_placements().values(), *invalid]:
-        assert list(iter_patterns(p)) == list(oracles.iter_patterns(p))
-        for sizes in SIZE_SETS + [(3, 1), (0, 2)]:
-            assert list(iter_patterns(p, sizes)) == list(oracles.iter_patterns(p, sizes)), sizes
 
 
 def test_square_contested_by_two_all_data_triples():
@@ -94,9 +83,6 @@ def test_pattern_index_interns_each_pattern_once_per_width():
                     ErrorPattern.of(data=[i + 1 for i in idx if i < d],
                                     parities=[i - d + 1 for i in idx if i >= d])
                     for idx in combinations(range(d + n), size))
-                walked = list(iter_patterns(p, (size,)))
-                assert len(walked) == len(index.patterns)
-                assert all(a is b for a, b in zip(walked, index.patterns))
             le2 = {id(pat) for size in range(3) for pat in _pattern_index(d, n, size).patterns}
             result = occupied_map(p)
             shown = (result.mapping.values() if result.valid
@@ -123,5 +109,4 @@ def placements(draw):
 @given(placements())
 def test_walk_matches_oracle_at_any_width(p):
     _assert_walk_matches_oracle(p)
-    assert list(iter_patterns(p, (1, 2, 3))) == list(oracles.iter_patterns(p, (1, 2, 3)))
 

@@ -25,7 +25,7 @@ VALUES = {
     GrayLayout: (("n", "row_vars", "col_vars"),
                  lambda: (default_layout(7), GrayLayout(7, (6, 4, 2), (7, 5, 3, 1)))),
     ErrorPattern: (("data", "parities"),
-                   lambda: (ErrorPattern.parse("X_1P_3"), ErrorPattern.parse("X_1P_4"))),
+                   lambda: (ErrorPattern.of((1,), (3,)), ErrorPattern.of((1,), (4,)))),
     Placement: (("n", "data"), lambda: (_REF, Placement(7, (106, 86)))),
     SClass: (("weights", "distances"),
              lambda: (SClass.parse("S_447^433"), SClass.parse("S_445^433"))),
@@ -38,7 +38,7 @@ VALUES = {
     CodecTables: (("placement", "decode", "include_triples"),
                   lambda: (build_tables(_REF), build_tables(_REF, include_triples=True))),
     DecodeReport: (("status", "syndrome", "pattern"),
-                   lambda: (decode(inject(encode((1, 0, 1), _REF), ErrorPattern.parse("P_2")),
+                   lambda: (decode(inject(encode((1, 0, 1), _REF), ErrorPattern.of(parities=(2,))),
                                    build_tables(_REF))[1],
                             DecodeReport("uncorrectable", 62, None))),
     CoverageReport: (("placement", "mode", "covered", "counts", "total"),
@@ -106,7 +106,7 @@ def test_repr_names_each_field(cls):
 
 
 def test_repr_literals():
-    assert (repr(DecodeReport("corrected", 2, ErrorPattern.parse("P_2")))
+    assert (repr(DecodeReport("corrected", 2, ErrorPattern.of(parities=(2,))))
             == "DecodeReport(status='corrected', syndrome=2, "
                "pattern=ErrorPattern(data=frozenset(), parities=frozenset({2})))")
     assert repr(CellDiff(0, 3, "X_1", "")) == "CellDiff(row=0, col=3, a='X_1', b='')"
