@@ -4,22 +4,19 @@ Exit codes: 0 success, 1 usage error (any value a command or the library
 refuses), 2 domain failure (invalid placement, uncorrectable word, failed
 check, differing grids, unsafe ordering), 3 internal error.  Data goes to
 stdout, diagnostics and timings to stderr.
+
+A process loads only what its command runs: each command imports the
+modules past `kcode` and `placement` that it needs, and `main` builds only
+the parsers on the invoked command's path.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-import time
 
-from . import burst as burst_mod
-from . import coverage as coverage_mod
-from . import render as render_mod
-from .codec import Codeword, build_tables, decode, encode
-from .kcode import MAX_WIDTH, MIN_WIDTH, GrayLayout, default_layout, weight
+from .kcode import MAX_WIDTH, MIN_WIDTH, GrayLayout, _codes, default_layout, n_class
 from .placement import (MAX_GUIDED_D, Placement, PlacementError, SClass,
                         SearchStats, double_weight_count, guided_search,
                         naive_search, occupied_map, theorem1_overlap,
@@ -73,6 +70,8 @@ def _emit_rows(rows, header, fmt) -> None:
         for row in rows:
             _emit_json(dict(zip(header, row)))
     elif fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(header)
@@ -131,6 +130,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_codec_build(args) -> int:
+    from .codec import build_tables
     p = _load_placement(args.placement)
     tables = build_tables(p, include_triples=args.triples)
     _emit_rows(tables.rows(), ["syndrome", "pattern"], args.format)
@@ -145,6 +145,7 @@ def _parse_bits(text: str, want: int) -> list[int]:
 
 
 def _cmd_codec_encode(args) -> int:
+    from .codec import encode
     p = _load_placement(args.placement)
     word = encode(_parse_bits(args.data, p.d), p, odd_parity=args.odd)
     _emit_json({"binary": word.binary(), "hex": word.hex()})
@@ -152,6 +153,7 @@ def _cmd_codec_encode(args) -> int:
 
 
 def _cmd_codec_decode(args) -> int:
+    from .codec import Codeword, build_tables, decode
     p = _load_placement(args.placement)
     tables = build_tables(p, include_triples=args.triples)
     word = Codeword.from_string(args.word, p.d, p.n)
@@ -167,21 +169,23 @@ def _cmd_codec_decode(args) -> int:
 
 
 def _cmd_coverage_report(args) -> int:
-    report = coverage_mod.three_bit_coverage(_load_placement(args.placement), args.mode)
+    from .coverage import three_bit_coverage
+    report = three_bit_coverage(_load_placement(args.placement), args.mode)
     _emit_json(report.to_json())
     return EXIT_OK
 
 
 def _cmd_coverage_census(args) -> int:
-    rows = coverage_mod.census(n=args.n, mode=args.mode, full=args.full,
-                               threads=args.threads)
-    header = ["family", "class", "realizable", "total", *coverage_mod.CLASS_KEYS]
+    from .coverage import CLASS_KEYS, census
+    rows = census(n=args.n, mode=args.mode, full=args.full, threads=args.threads)
+    header = ["family", "class", "realizable", "total", *CLASS_KEYS]
     _emit_rows([list(map(r.to_json().__getitem__, header)) for r in rows], header, args.format)
     return EXIT_OK
 
 
 def _cmd_coverage_theorem4(args) -> int:
-    report = coverage_mod.theorem4_check(args.n)
+    from .coverage import theorem4_check
+    report = theorem4_check(args.n)
     _emit_json({"n": report.n, "impossible": report.impossible,
                 "singles_checked": report.singles_checked,
                 "triples_checked": report.triples_checked})
@@ -189,25 +193,29 @@ def _cmd_coverage_theorem4(args) -> int:
 
 
 def _cmd_coverage_minparity(args) -> int:
-    report = coverage_mod.min_parity_search(args.n, pruned=not args.no_pruning)
+    from .coverage import min_parity_search
+    report = min_parity_search(args.n, pruned=not args.no_pruning)
     _emit_json(report.to_json())
     return EXIT_OK
 
 
 def _cmd_burst_search(args) -> int:
-    report = coverage_mod.three_bit_coverage(_load_placement(args.placement))
-    census = burst_mod.search_orderings(report, threads=args.threads)
-    _emit_json(census.to_json())
+    from .burst import search_orderings
+    from .coverage import three_bit_coverage
+    report = three_bit_coverage(_load_placement(args.placement))
+    _emit_json(search_orderings(report, threads=args.threads).to_json())
     return EXIT_OK
 
 
 def _cmd_burst_check(args) -> int:
-    report = coverage_mod.three_bit_coverage(_load_placement(args.placement))
-    ordering = burst_mod.Ordering.parse(args.ordering)
-    bad = burst_mod.failing_window(ordering, report)
+    from .burst import Ordering, burst_triples, failing_window
+    from .coverage import three_bit_coverage
+    report = three_bit_coverage(_load_placement(args.placement))
+    ordering = Ordering.parse(args.ordering)
+    bad = failing_window(ordering, report)
     out = {"ordering": ordering.label, "burst_safe": bad is None}
     if bad is not None:
-        window = burst_mod.burst_triples(ordering)[bad]
+        window = burst_triples(ordering)[bad]
         out["failing_window"] = bad
         out["failing_pattern"] = window.label
     _emit_json(out)
@@ -224,6 +232,7 @@ def _parse_layout(text: str | None, n: int) -> GrayLayout:
 
 
 def _cmd_render(args) -> int:
+    from .render import grid_to_csv, grid_to_json, grid_to_text, render_map
     p = _load_placement(args.placement)
     forbidden = None
     if args.forbidden_for:
@@ -233,18 +242,20 @@ def _cmd_render(args) -> int:
             raise UsageError("--forbidden-for wants two indices like 1,2") from e
         forbidden = (i, j)
     layout = _parse_layout(args.layout, p.n)
-    grid = render_mod.render_map(p, include_triples=args.triples,
-                                 forbidden_for=forbidden, layout=layout)
+    grid = render_map(p, include_triples=args.triples,
+                      forbidden_for=forbidden, layout=layout)
     if args.format == "text":
-        sys.stdout.write(render_mod.grid_to_text(grid))
+        sys.stdout.write(grid_to_text(grid))
     elif args.format == "csv":
-        sys.stdout.write(render_mod.grid_to_csv(grid))
+        sys.stdout.write(grid_to_csv(grid))
     else:
-        _emit_json(render_mod.grid_to_json(grid))
+        _emit_json(grid_to_json(grid))
     return EXIT_OK
 
 
 def _cmd_diff(args) -> int:
+    from .render import diff_grids, grid_from_csv
+
     def load(path):
         try:
             with open(path) as f:
@@ -253,10 +264,10 @@ def _cmd_diff(args) -> int:
             raise UsageError(f"cannot read grid {path}: {e}") from e
         layout = _parse_layout(args.layout, args.n)
         try:
-            return render_mod.grid_from_csv(text, layout)
+            return grid_from_csv(text, layout)
         except ValueError as e:
             raise UsageError(f"bad grid {path}: {e}") from e
-    diffs = render_mod.diff_grids(load(args.a), load(args.b))
+    diffs = diff_grids(load(args.a), load(args.b))
     for d in diffs:
         print(f"({d.row},{d.col}): {d.a!r} != {d.b!r}")
     print(f"{len(diffs)} differences")
@@ -264,35 +275,42 @@ def _cmd_diff(args) -> int:
 
 
 def _theorem_pairs(n: int, samples: int, seed: int):
-    """All pairs exhaustively at n=7, else a seeded sample."""
-    size = 1 << n
+    """The pairs theorems 1, 2 and 3 are checked on: at n <= 7 every ordered
+    pair that meets each theorem's hypothesis, enumerated directly, else
+    those among a seeded sample of pairs."""
     if n <= 7:
-        for a in range(size):
-            for b in range(size):
-                yield a, b
-        return
+        codes = range(1 << n)
+        heavy = _codes(4, n, n)
+        # a ^ x has a's weight +- 1 exactly when x shares 1 or 2 bits with a
+        return ([(a, a ^ x) for a in codes for x in n_class(4, n)],
+                [(a, a ^ x) for a in codes for x in n_class(3, n)
+                 if (a & x).bit_count() in (1, 2)],
+                [(a, b) for a in heavy for b in heavy if a != b])
     import random   # on this branch only: every other command skips its import
     rng = random.Random(seed)
-    for _ in range(samples):
-        yield rng.randrange(size), rng.randrange(size)
+    size = 1 << n
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(samples)]
+    return ([(a, b) for a, b in pairs if (a ^ b).bit_count() == 4],
+            [(a, b) for a, b in pairs
+             if (a ^ b).bit_count() == 3 and abs(a.bit_count() - b.bit_count()) == 1],
+            [(a, b) for a, b in pairs if a != b and a.bit_count() >= 4 and b.bit_count() >= 4])
 
 
 def _cmd_verify_theorems(args) -> int:
     n = args.n
-    pairs = list(_theorem_pairs(n, args.samples, args.seed))
-    checks = []
-    checks.append(("theorem1: distance-4 pairs share 6 order-2 side squares",
-                   all(theorem1_overlap(a, b, n) == 6
-                       for a, b in pairs if (a ^ b).bit_count() == 4)))
-    checks.append(("theorem2: adjacent-weight distance-3 pairs share 6 side squares",
-                   all(theorem2_overlap(a, b, n) == 6
-                       for a, b in pairs
-                       if abs(weight(a) - weight(b)) == 1 and (a ^ b).bit_count() == 3)))
-    checks.append(("theorem3: X_iX_j sits at distance >= 2 from both",
-                   all((a ^ b ^ a).bit_count() >= 2 and (a ^ b ^ b).bit_count() >= 2
-                       for a, b in pairs if a != b and weight(a) >= 4 and weight(b) >= 4)))
+    pairs1, pairs2, pairs3 = _theorem_pairs(n, args.samples, args.seed)
+    checks = [
+        ("theorem1: distance-4 pairs share 6 order-2 side squares",
+         all(theorem1_overlap(a, b, n) == 6 for a, b in pairs1)),
+        ("theorem2: adjacent-weight distance-3 pairs share 6 side squares",
+         all(theorem2_overlap(a, b, n) == 6 for a, b in pairs2)),
+        ("theorem3: X_iX_j sits at distance >= 2 from both",
+         all((a ^ b ^ a).bit_count() >= 2 and (a ^ b ^ b).bit_count() >= 2
+             for a, b in pairs3)),
+    ]
     if n == 7:
-        t4 = coverage_mod.theorem4_check(n)
+        from .coverage import theorem4_check
+        t4 = theorem4_check(n)
         checks.append((f"theorem4: no map holds all P_lP_mP_n triples "
                        f"(checked {t4.triples_checked})", t4.impossible))
     else:
@@ -306,6 +324,7 @@ def _cmd_verify_theorems(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from time import perf_counter
     # both searches check their arguments at the call, before either is timed
     streams = []
     for name, search in (("guided", guided_search), ("naive", naive_search)):
@@ -314,12 +333,12 @@ def _cmd_bench(args) -> int:
     results = []
     for name, stream, stats in streams:
         found = []
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         for p in stream:
             found.append(p)
             if len(found) >= args.k:
                 break
-        elapsed = time.perf_counter() - t0
+        elapsed = perf_counter() - t0
         print(f"{name}: {elapsed:.3f}s", file=sys.stderr)
         results.append({
             "search": name,
@@ -337,120 +356,147 @@ def _cmd_bench(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+def _arg(*flags, **options):
+    """One `add_argument` call of a command, kept until its parser is built."""
+    return flags, options
+
+
+def _format(default, choices=("json", "csv", "text")):
+    return _arg("--format", choices=choices, default=default)
+
+
+_N = _arg("--n", type=_WIDTH, default=7)
+_PLACEMENT = _arg("--placement", required=True)
+_TRIPLES = _arg("--triples", action="store_true")
+_MODE = _arg("--mode", choices=("strict", "assignable"), default="strict")
+
+#: The command tree.  Each name maps to its help line (None: the parent
+#: lists no help for it) and either the tree of its subcommands or the
+#: function that runs it and its arguments.
+_COMMANDS = {
+    "search": ("emit valid placements as JSON lines", _cmd_search, (
+        _N,
+        _arg("--d", type=_int_in(1), required=True,
+             help=f"data bits (guided: at most {MAX_GUIDED_D})"),
+        _arg("--limit", type=_int_in(0), default=0, help="stop after this many (0 = all)"),
+        _arg("--class", dest="sclass", default=None, help="pin the S-class, e.g. S_445^433"),
+        _arg("--naive", action="store_true", help="use the unguided baseline"))),
+    "validate": ("check a placement file", _cmd_validate, (
+        _PLACEMENT, _format("json", ("json", "text")))),
+    "codec": ("build tables, encode, decode", {
+        "build": (None, _cmd_codec_build, (_PLACEMENT, _TRIPLES, _format("csv"))),
+        "encode": (None, _cmd_codec_encode, (
+            _PLACEMENT,
+            _arg("--data", required=True, help="data bits, e.g. 101"),
+            _arg("--odd", action="store_true", help="odd parity"))),
+        "decode": (None, _cmd_codec_decode, (
+            _PLACEMENT,
+            _arg("--word", required=True, help="binary or hex codeword"),
+            _TRIPLES,
+            _arg("--odd", action="store_true"))),
+    }),
+    "coverage": ("three-bit error analysis", {
+        "report": (None, _cmd_coverage_report, (_PLACEMENT, _MODE)),
+        "census": (None, _cmd_coverage_census, (
+            _N, _MODE,
+            _arg("--full", action="store_true",
+                 help="census every reachable class, not just the reference families"),
+            _format("csv"))),
+        "theorem4": (None, _cmd_coverage_theorem4, (_N,)),
+        "minparity": (None, _cmd_coverage_minparity, (
+            _arg("--n", type=_WIDTH, required=True),
+            _arg("--no-pruning", action="store_true",
+                 help="drop the N_5 weight restriction and walk every code "
+                      "(n=10 in well under a second)"))),
+    }),
+    "burst": ("burst-safe transmission orderings", {
+        "search": (None, _cmd_burst_search, (_PLACEMENT,)),
+        "check": (None, _cmd_burst_check, (
+            _PLACEMENT,
+            _arg("--ordering", required=True, help='e.g. "X1,P7,P3,P6,X3,P2,P4,P1,P5,X2"'))),
+    }),
+    "render": ("draw the map grid", _cmd_render, (
+        _PLACEMENT, _TRIPLES,
+        _arg("--forbidden-for", default=None, help="mark f squares for pair i,j"),
+        _arg("--layout", default=None, help="layout JSON override"),
+        _format("text"))),
+    "diff": ("compare two grid CSV files", _cmd_diff, (
+        _arg("--a", required=True),
+        _arg("--b", required=True),
+        _N,
+        _arg("--layout", default=None))),
+    "verify-theorems": ("brute-force the four theorems", _cmd_verify_theorems, (
+        _N,
+        _arg("--samples", type=_int_in(1), default=20000,
+             help="sampled pairs for n > 7 (n=7 is exhaustive)"),
+        _arg("--seed", type=int, default=0, help="sampling seed"))),
+    "bench": ("guided vs naive candidate counters", _cmd_bench, (
+        _N,
+        _arg("--d", type=_int_in(1, MAX_GUIDED_D), required=True),
+        _arg("--k", type=_int_in(1), default=1, help="placements to find"))),
+}
+
+
+def _add_commands(parser, dest, tree, path) -> None:
+    """Add `tree`'s commands to `parser` under `dest`: all of them, or with
+    a `path` only the one it starts with, and below it the rest of `path`."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_line, *spec) in tree.items():
+        if path and name != path[0]:
+            continue
+        # help=None would still list the command in its group's help
+        p = sub.add_parser(name) if help_line is None else sub.add_parser(name, help=help_line)
+        if isinstance(spec[0], dict):
+            _add_commands(p, f"{name}_command", spec[0], path[1:])
+            continue
+        fn, arguments = spec
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=fn)
+
+
+def build_parser(path=()) -> _Parser:
+    """The parser of every command, or with a `path` of command names
+    (outermost first) only of the commands on it: all of a group's
+    subcommands when the path ends at the group."""
     top = _Parser(prog="kmap-ecc",
                   description="Karnaugh-map error-correcting code toolkit")
     top.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility; changes nothing, every "
                           "command runs in one process")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def fmt(p, default="json", choices=("json", "csv", "text")):
-        p.add_argument("--format", choices=choices, default=default)
-
-    p = sub.add_parser("search", help="emit valid placements as JSON lines")
-    p.add_argument("--n", type=_WIDTH, default=7)
-    p.add_argument("--d", type=_int_in(1), required=True,
-                   help=f"data bits (guided: at most {MAX_GUIDED_D})")
-    p.add_argument("--limit", type=_int_in(0), default=0,
-                   help="stop after this many (0 = all)")
-    p.add_argument("--class", dest="sclass", default=None,
-                   help="pin the S-class, e.g. S_445^433")
-    p.add_argument("--naive", action="store_true", help="use the unguided baseline")
-    p.set_defaults(fn=_cmd_search)
-
-    p = sub.add_parser("validate", help="check a placement file")
-    p.add_argument("--placement", required=True)
-    fmt(p, choices=("json", "text"))
-    p.set_defaults(fn=_cmd_validate)
-
-    codec = sub.add_parser("codec", help="build tables, encode, decode")
-    csub = codec.add_subparsers(dest="codec_command", required=True)
-    p = csub.add_parser("build")
-    p.add_argument("--placement", required=True)
-    p.add_argument("--triples", action="store_true")
-    fmt(p, default="csv")
-    p.set_defaults(fn=_cmd_codec_build)
-    p = csub.add_parser("encode")
-    p.add_argument("--placement", required=True)
-    p.add_argument("--data", required=True, help="data bits, e.g. 101")
-    p.add_argument("--odd", action="store_true", help="odd parity")
-    p.set_defaults(fn=_cmd_codec_encode)
-    p = csub.add_parser("decode")
-    p.add_argument("--placement", required=True)
-    p.add_argument("--word", required=True, help="binary or hex codeword")
-    p.add_argument("--triples", action="store_true")
-    p.add_argument("--odd", action="store_true")
-    p.set_defaults(fn=_cmd_codec_decode)
-
-    cov = sub.add_parser("coverage", help="three-bit error analysis")
-    vsub = cov.add_subparsers(dest="coverage_command", required=True)
-    p = vsub.add_parser("report")
-    p.add_argument("--placement", required=True)
-    p.add_argument("--mode", choices=("strict", "assignable"), default="strict")
-    p.set_defaults(fn=_cmd_coverage_report)
-    p = vsub.add_parser("census")
-    p.add_argument("--n", type=_WIDTH, default=7)
-    p.add_argument("--mode", choices=("strict", "assignable"), default="strict")
-    p.add_argument("--full", action="store_true",
-                   help="census every reachable class, not just the reference families")
-    fmt(p, default="csv")
-    p.set_defaults(fn=_cmd_coverage_census)
-    p = vsub.add_parser("theorem4")
-    p.add_argument("--n", type=_WIDTH, default=7)
-    p.set_defaults(fn=_cmd_coverage_theorem4)
-    p = vsub.add_parser("minparity")
-    p.add_argument("--n", type=_WIDTH, required=True)
-    p.add_argument("--no-pruning", action="store_true",
-                   help="drop the N_5 weight restriction and walk every code "
-                        "(n=10 in well under a second)")
-    p.set_defaults(fn=_cmd_coverage_minparity)
-
-    b = sub.add_parser("burst", help="burst-safe transmission orderings")
-    bsub = b.add_subparsers(dest="burst_command", required=True)
-    p = bsub.add_parser("search")
-    p.add_argument("--placement", required=True)
-    p.set_defaults(fn=_cmd_burst_search)
-    p = bsub.add_parser("check")
-    p.add_argument("--placement", required=True)
-    p.add_argument("--ordering", required=True, help='e.g. "X1,P7,P3,P6,X3,P2,P4,P1,P5,X2"')
-    p.set_defaults(fn=_cmd_burst_check)
-
-    p = sub.add_parser("render", help="draw the map grid")
-    p.add_argument("--placement", required=True)
-    p.add_argument("--triples", action="store_true")
-    p.add_argument("--forbidden-for", default=None, help="mark f squares for pair i,j")
-    p.add_argument("--layout", default=None, help="layout JSON override")
-    fmt(p, default="text")
-    p.set_defaults(fn=_cmd_render)
-
-    p = sub.add_parser("diff", help="compare two grid CSV files")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--n", type=_WIDTH, default=7)
-    p.add_argument("--layout", default=None)
-    p.set_defaults(fn=_cmd_diff)
-
-    p = sub.add_parser("verify-theorems", help="brute-force the four theorems")
-    p.add_argument("--n", type=_WIDTH, default=7)
-    p.add_argument("--samples", type=_int_in(1), default=20000,
-                   help="sampled pairs for n > 7 (n=7 is exhaustive)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.set_defaults(fn=_cmd_verify_theorems)
-
-    p = sub.add_parser("bench", help="guided vs naive candidate counters")
-    p.add_argument("--n", type=_WIDTH, default=7)
-    p.add_argument("--d", type=_int_in(1, MAX_GUIDED_D), required=True)
-    p.add_argument("--k", type=_int_in(1), default=1, help="placements to find")
-    p.set_defaults(fn=_cmd_bench)
-
+    _add_commands(top, "command", _COMMANDS, tuple(path))
     return top
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _command_path(argv) -> list[str]:
+    """The command names in `argv`, outermost first: at each level the first
+    later token that names a command there.  Empty when a token could ask
+    for help, which lists a level's every command."""
+    path, tree = [], _COMMANDS
+    for token in argv:
+        if token.startswith(("-h", "--h")):
+            return []
+        if tree is not None and token in tree:
+            path.append(token)
+            spec = tree[token][1]
+            tree = spec if isinstance(spec, dict) else None
+    return path
+
+
+def _parse(argv):
+    """Parse with the parsers on `argv`'s command path; on a usage error parse
+    again with every parser, which gives the whole tree's message (such as
+    the full list of choices)."""
     try:
-        args = parser.parse_args(argv)
+        return build_parser(_command_path(argv)).parse_args(argv)
+    except UsageError:
+        return build_parser().parse_args(argv)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parse(argv)
         return args.fn(args)
     except PlacementError as e:
         print(f"invalid placement: {e}", file=sys.stderr)

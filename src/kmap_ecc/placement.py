@@ -15,8 +15,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 
-from .kcode import (check_code, check_width, from_parities, n_class, weight,
-                    _codes, _n_class, _Value)
+from .kcode import (MAX_WIDTH, MIN_WIDTH, check_code, check_width, from_parities,
+                    n_class, weight, _codes, _n_class, _Value)
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Collision",
@@ -238,14 +238,37 @@ def double_weight_count(candidate: int, priors: Sequence[int], n: int) -> int:
     return _landings(candidate, _flanked(priors, n), n)
 
 
+@lru_cache(maxsize=None)
+def _offset_set(lo: int, hi: int, n: int) -> frozenset[int]:
+    """The n-bit offsets of weight lo..hi as a set: x's side squares of
+    those orders are x ^ t."""
+    return frozenset(_codes(lo, hi, n))
+
+
+@lru_cache(maxsize=None)
+def _shared_sides(c: int, lo: int, hi: int, n: int) -> int:
+    """How many side squares of weight-lo..hi offsets a and b = a ^ c share:
+    a ^ s == b ^ t exactly when s == c ^ t, so the count depends on c alone
+    (at most C(n, 4) values of c per theorem and width)."""
+    offsets = _offset_set(lo, hi, n)
+    return len(offsets.intersection([c ^ t for t in offsets]))
+
+
+def _check_pair(a: int, b: int, n: int) -> None:
+    """:func:`check_code` on both codes, in one type and range test unless
+    one of them fails it."""
+    if not (type(a) is type(b) is type(n) is int and MIN_WIDTH <= n <= MAX_WIDTH
+            and 0 <= a < 1 << n and 0 <= b < 1 << n):
+        check_code(a, n)    # raises, naming what is wrong
+        check_code(b, n)
+
+
 def theorem1_overlap(a: int, b: int, n: int) -> int:
     """Count of shared order-2 side squares for a distance-4 pair (always 6)."""
     if (a ^ b).bit_count() != 4:
         raise ValueError("theorem1_overlap requires Hamming distance exactly 4")
-    check_code(a, n)
-    check_code(b, n)
-    offsets = _n_class(2, n)
-    return len({a ^ t for t in offsets} & {b ^ t for t in offsets})
+    _check_pair(a, b, n)
+    return _shared_sides(a ^ b, 2, 2, n)
 
 
 def theorem2_overlap(a: int, b: int, n: int) -> int:
@@ -254,10 +277,8 @@ def theorem2_overlap(a: int, b: int, n: int) -> int:
         raise ValueError("theorem2_overlap requires weights differing by exactly 1")
     if (a ^ b).bit_count() != 3:
         raise ValueError("theorem2_overlap requires Hamming distance exactly 3")
-    check_code(a, n)
-    check_code(b, n)
-    offsets = _offsets12(n)
-    return len({a ^ t for t in offsets} & {b ^ t for t in offsets})
+    _check_pair(a, b, n)
+    return _shared_sides(a ^ b, 1, 2, n)
 
 
 def forbidden_squares(x1: int, x2: int, n: int) -> frozenset[int]:

@@ -1,8 +1,11 @@
 """CLI behavior: subcommands, exit codes, stream discipline."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -431,6 +434,28 @@ def test_verify_theorems_sampled_at_8(capsys):
     assert sum(1 for line in lines if line.startswith("PASS")) == 3
 
 
+def _hypotheses(pairs):
+    """The pairs of theorems 1, 2 and 3 among `pairs`, filtered as the
+    command did before it enumerated them."""
+    return ([(a, b) for a, b in pairs if (a ^ b).bit_count() == 4],
+            [(a, b) for a, b in pairs
+             if abs(a.bit_count() - b.bit_count()) == 1 and (a ^ b).bit_count() == 3],
+            [(a, b) for a, b in pairs if a != b and a.bit_count() >= 4 and b.bit_count() >= 4])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_theorem_pairs_are_every_pair_that_meets_each_hypothesis(n):
+    every = [(a, b) for a in range(1 << n) for b in range(1 << n)]
+    got = cli._theorem_pairs(n, 20000, 0)
+    assert list(map(Counter, got)) == list(map(Counter, _hypotheses(every)))
+
+
+def test_sampled_theorem_pairs_keep_their_stream():
+    rng = random.Random(42)
+    sample = [(rng.randrange(256), rng.randrange(256)) for _ in range(2000)]
+    assert list(cli._theorem_pairs(8, 2000, 42)) == list(_hypotheses(sample))
+
+
 def test_verify_theorems_failure_is_domain_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "theorem1_overlap", lambda a, b, n: 5)
     code, out, _ = run_cli(capsys, "verify-theorems")
@@ -454,6 +479,163 @@ def test_bench_k0_is_empty(capsys):
 
 
 
+# --- parser pins ---
+
+#: Digests and messages below were taken with Python 3.11's argparse, from
+#: the hand-built parser tree that the command table replaced; other
+#: versions word some of them differently.
+PINNED_ARGPARSE = sys.version_info[:2] == (3, 11)
+
+#: sha256 of each parser's ``--help`` stdout at 80 columns.
+HELP_DIGESTS = {
+    '': 'd747944cf6fb7026dc909c4b5b3776cbbd75d96984f6bd94aba91399e262be4d',
+    'search': '72b14f024a901861e254e49c3c9735c0f3c9e1773b5432cbb9b065140fc34917',
+    'validate': '2463c04bbc81424b1a08d8bbe0a9f454326c8c79b2e55270a967b287e83d9a5e',
+    'codec': '0f7d1029bf0bcfe32e7e44281ce16e311256530e6e3963960f505f192f2db4e0',
+    'codec build': 'beaad88b56e55180d7b5dd69e690092cb2871e6aa0c4f26e76860cef0319538b',
+    'codec encode': '9cd4efafc4cf62f1097e32aaa0b69bc5444cda85e1fe4bbcff79e1463b72d080',
+    'codec decode': 'c2a3ed4d3a243fae2af26bb511598492e487ffe0948a2a99f28aa11233bf402f',
+    'coverage': 'c0be9d6383a70789ab25133c60810f8d1ddf1ff58c8b0a284d2dfcaa87367201',
+    'coverage report': 'bad897b080af6869f189a1b317105a7780e546a17c910a4f48cf99b7d44af38c',
+    'coverage census': '0344f0be02720b764ef2d35c2f3e89f28df66a4e5ed19b737d0a661074f81da9',
+    'coverage theorem4': '98881d326db67ddb4f4daafd5e97dd3d3d0f9ae44cb9ca9bf442894d44e5198e',
+    'coverage minparity': '8037b3b7537fc93463963ba28c8b8ef063a788c4cd1e9609490ac05b1de2f55f',
+    'burst': '33624a18c185bd6e50b0205bf05422965c454c363ba6bee7739fd52c95036909',
+    'burst search': '635f8b5eb504f888a61497a0f209e5790a920e7a9480fcb40d0dfa3190afd85f',
+    'burst check': 'db570311224e633633c1fca5a2aced2088662885d37a26492ffa25cb3fee3ac9',
+    'render': '3b5d48a7abe212f6922689391fd6ccf900e0130c8bf455d6f0ae29fd7fbada9f',
+    'diff': 'ce7e9a8681865da5e0aa12017cfff75f05005897767104258bee30c11272ed94',
+    'verify-theorems': '2d7aa8e2e4401e5e68c8301471a0c8f430c4a1c616eb292006bb3180d9d3695a',
+    'bench': '16ca4f1df1c600bc5081a0267e76d093580c8f8725ba698d7e80ef530a589e77',
+}
+
+#: Each help request and the parser whose help it prints: help asked for
+#: before a further command name describes the level it was asked at.
+HELP_CASES = [(path.split() + ["--help"], path) for path in HELP_DIGESTS] + [
+    (["codec", "--help", "decode"], "codec"),
+    (["--help", "search"], ""),
+    (["search", "--d", "3", "-h"], "search"),
+]
+
+#: A usage error's argv and its stderr line (exit 1).
+USAGE_ERRORS = [
+    ([],
+     'usage error: the following arguments are required: command\n'),
+    (['bogus'],
+     "usage error: argument command: invalid choice: 'bogus' (choose from 'search', 'validate', 'codec', 'coverage', 'burst', 'render', 'diff', 'verify-theorems', 'bench')\n"),
+    (['codec'],
+     'usage error: the following arguments are required: codec_command\n'),
+    (['coverage'],
+     'usage error: the following arguments are required: coverage_command\n'),
+    (['burst'],
+     'usage error: the following arguments are required: burst_command\n'),
+    (['codec', 'bogus'],
+     "usage error: argument codec_command: invalid choice: 'bogus' (choose from 'build', 'encode', 'decode')\n"),
+    (['--threads=1'],
+     'usage error: the following arguments are required: command\n'),
+    (['--thr', '1'],
+     'usage error: the following arguments are required: command\n'),
+    (['--threads', 'x', 'search'],
+     "usage error: argument --threads: invalid int value: 'x'\n"),
+    (['search', '--d', '3', '--n', '3'],
+     'usage error: argument --n: must be in [4, 16], got 3\n'),
+    (['validate', '--placement', 'p.json', '--format', 'csv'],
+     "usage error: argument --format: invalid choice: 'csv' (choose from 'json', 'text')\n"),
+    (['codec', 'build', '--placement', 'p.json', '--format', 'xml'],
+     "usage error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')\n"),
+    (['codec', 'encode', '--placement', 'p.json'],
+     'usage error: the following arguments are required: --data\n'),
+    (['codec', 'decode', '--placement', 'p.json'],
+     'usage error: the following arguments are required: --word\n'),
+    (['coverage', 'report', '--placement', 'p.json', '--mode', 'loose'],
+     "usage error: argument --mode: invalid choice: 'loose' (choose from 'strict', 'assignable')\n"),
+    (['coverage', 'census', '--n', '17'],
+     'usage error: argument --n: must be in [4, 16], got 17\n'),
+    (['coverage', 'theorem4', '--n', '3'],
+     'usage error: argument --n: must be in [4, 16], got 3\n'),
+    (['coverage', 'minparity', '--n', 'x'],
+     "usage error: argument --n: invalid integer value: 'x'\n"),
+    (['burst', 'search'],
+     'usage error: the following arguments are required: --placement\n'),
+    (['burst', 'check', '--placement', 'p.json'],
+     'usage error: the following arguments are required: --ordering\n'),
+    (['render', '--placement', 'p.json', '--format', 'svg'],
+     "usage error: argument --format: invalid choice: 'svg' (choose from 'json', 'csv', 'text')\n"),
+    (['diff', '--a', 'a.csv', '--b', 'b.csv', '--n', '3'],
+     'usage error: argument --n: must be in [4, 16], got 3\n'),
+    (['verify-theorems', '--samples', '0'],
+     'usage error: argument --samples: must be at least 1, got 0\n'),
+    (['bench', '--d', '5'],
+     'usage error: argument --d: must be in [1, 4], got 5\n'),
+    (['search', '--d', '3', '--bogus'],
+     'usage error: unrecognized arguments: --bogus\n'),
+    (['--threads', '1', '2', 'search'],
+     "usage error: argument command: invalid choice: '2' (choose from 'search', 'validate', 'codec', 'coverage', 'burst', 'render', 'diff', 'verify-theorems', 'bench')\n"),
+    (['--threads=1', 'codec', 'bogus', 'decode'],
+     "usage error: argument codec_command: invalid choice: 'bogus' (choose from 'build', 'encode', 'decode')\n"),
+]
+
+
+@pytest.mark.parametrize("argv, path", HELP_CASES, ids=[" ".join(a) for a, _ in HELP_CASES])
+def test_help_is_pinned(argv, path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out = capsys.readouterr()
+    assert stop.value.code == 0 and out.err == "" and out.out.startswith("usage: kmap-ecc")
+    if PINNED_ARGPARSE:
+        assert hashlib.sha256(out.out.encode()).hexdigest() == HELP_DIGESTS[path]
+
+
+@pytest.mark.parametrize("argv, err", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_errors_are_pinned(argv, err, capsys):
+    code, out, got = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert got == err if PINNED_ARGPARSE else got.startswith("usage error: ")
+
+
+#: Runs whose command path the narrow parser must read as the whole tree does.
+PATH_CASES = [
+    ["search", "--d", "3", "--class", "S_447^433", "--limit", "1"],
+    ["--threads", "2", "coverage", "census", "--format", "json"],
+    ["--thr", "1", "burst", "search", "--placement", "search"],
+    ["--threads=1", "codec", "decode", "--placement", "decode", "--word", "build"],
+    ["codec", "build", "--placement", "p.json", "--triples"],
+    ["verify-theorems", "--n", "8", "--samples", "20000", "--seed", "0"],
+    ["render", "--placement", "render", "--format", "csv"],
+    ["bench", "--d", "3", "--k", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", PATH_CASES, ids=" ".join)
+def test_command_path_parses_as_the_whole_tree(argv):
+    narrow = cli.build_parser(cli._command_path(argv)).parse_args(argv)
+    assert vars(narrow) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_a_run_builds_only_its_commands_parsers(capsys, monkeypatch):
+    """A run builds the top parser and those on its command path; help and
+    a usage error build the whole tree of 19."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for argv, parsers in ((["verify-theorems", "--n", "4"], 2),
+                          (["coverage", "theorem4", "--n", "4"], 3),
+                          (["coverage", "census", "--n", "3"], 3 + 19)):
+        built.clear()
+        run_cli(capsys, *argv)
+        assert len(built) == parsers, argv
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["coverage", "--help"])
+    assert len(built) == 19
+
+
 _START_UP = """
 import sys
 sys.path.insert(0, {src!r})
@@ -470,3 +652,42 @@ def test_cli_import_loads_no_dataclasses_inspect_typing_or_random():
     proc = subprocess.run([sys.executable, "-S", "-c", _START_UP.format(src=src)],
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+_LAZY_START = """
+import json, sys
+sys.path.insert(0, {src!r})
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("kmap_ecc.") or m == "csv")
+import kmap_ecc
+root = loaded()
+import kmap_ecc.cli
+cli = loaded()
+code = kmap_ecc.cli.main(["codec", "decode", "--placement", {placement!r},
+                          "--word", "1011101010", "--triples"])
+decode = loaded()
+lazy = kmap_ecc.render.render_map is sys.modules["kmap_ecc.render"].render_map
+from kmap_ecc import burst, codec, coverage, parallel, placement, render
+print(json.dumps([root, cli, code, decode, lazy, parallel.__name__]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """``import kmap_ecc`` loads no submodule, importing the CLI loads
+    neither the codec, coverage, burst, render nor process-pool modules nor
+    ``csv``, and a ``codec decode`` run adds the codec alone.  A submodule
+    is still an attribute of the package, and perfbench's ``from kmap_ecc
+    import ...`` still binds every module."""
+    placement = tmp_path / "s447_433.json"
+    placement.write_text(json.dumps({"n": 7, "data": [106, 86, 127]}))
+    src = str(Path(kmap_ecc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           _LAZY_START.format(src=src, placement=str(placement))],
+                          capture_output=True, text=True, timeout=60, check=True)
+    root, cli_, code, decode, lazy, parallel = json.loads(proc.stdout.splitlines()[-1])
+    assert root == []
+    assert not {"kmap_ecc.codec", "kmap_ecc.coverage", "kmap_ecc.burst", "kmap_ecc.render",
+                "kmap_ecc.parallel", "csv"} & set(cli_)
+    assert code == 2        # the README decode lands on an uncorrectable square
+    assert set(decode) - set(cli_) == {"kmap_ecc.codec"}
+    assert lazy and parallel == "kmap_ecc.parallel"

@@ -235,8 +235,8 @@ def _bound(stmt) -> list[str]:
 def test_source_has_no_dead_module_names():
     """The check a linter would make: each module-level import is read by its
     module (or exported), and each module-level private name is read outside
-    its own definition somewhere in the package.  The package's own
-    ``__init__`` imports are its exports."""
+    its own definition somewhere in the package.  The package root imports
+    nothing at module level: its exports are the names of its lazy table."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(Path(kmap_ecc.__file__).parent.glob("*.py"))}
     reads = {module: [_reads(stmt) for stmt in tree.body] for module, tree in trees.items()}
@@ -244,10 +244,11 @@ def test_source_has_no_dead_module_names():
     in_package = sum(in_module.values(), Counter())
     dead = []
     for module, tree in trees.items():
-        exported = set(getattr(importlib.import_module(f"kmap_ecc.{module}"), "__all__", ()))
+        name = "kmap_ecc" if module == "__init__" else f"kmap_ecc.{module}"
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
         for stmt, here in zip(tree.body, reads[module]):
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                if module != "__init__" and getattr(stmt, "module", "") != "__future__":
+                if getattr(stmt, "module", "") != "__future__":
                     dead += [f"{module}: import {name}" for name in _bound(stmt)
                              if name not in exported and not in_module[module][name]]
                 continue
@@ -299,6 +300,24 @@ def test_source_has_no_unread_parameters():
     assert sorted(unread) == sorted(UNREAD_PARAMETERS_KEPT)
 
 
+
+def test_export_table_is_the_package_root():
+    """Each name of the root's lazy table resolves to its submodule's object,
+    and ``dir``, ``__all__`` and a star import give exactly the table's
+    names; a name outside the table and its submodules is an AttributeError."""
+    table = kmap_ecc._EXPORTS
+    for name, module in table.items():
+        assert getattr(kmap_ecc, name) is getattr(importlib.import_module(f"kmap_ecc.{module}"), name)
+    assert dir(kmap_ecc) == sorted(table)
+    assert kmap_ecc.__all__ == list(table)
+    namespace = {}
+    exec("from kmap_ecc import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == table.keys()
+    for module in set(table.values()):
+        assert getattr(kmap_ecc, module) is importlib.import_module(f"kmap_ecc.{module}")
+    with pytest.raises(AttributeError, match="has no attribute 'check_code'"):
+        kmap_ecc.check_code
+
 #: Exports kept though nothing outside the tests reads them, with the reason.
 UNREAD_EXPORTS_KEPT = {
     "distance": "the README lists the square algebra",
@@ -308,7 +327,7 @@ UNREAD_EXPORTS_KEPT = {
 
 
 def test_every_export_is_read_outside_the_tests():
-    """Each name the package root imports for export is read somewhere
+    """Each name of the package root's lazy export table is read somewhere
     other than ``tests/``: as a name load, an attribute load or a ``from
     ... import`` in a package module besides ``__init__`` or in
     ``perfbench``, in the text of a CI workflow, or in a fenced code block
@@ -317,9 +336,7 @@ def test_every_export_is_read_outside_the_tests():
     export would pass as perfbench's ``pat.parities`` field."""
     root = Path(__file__).resolve().parents[1]
     package = Path(kmap_ecc.__file__).parent
-    init = ast.parse((package / "__init__.py").read_text())
-    exported = {alias.asname or alias.name for stmt in init.body
-                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+    exported = set(kmap_ecc._EXPORTS)
     sources = [path for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
     sources += sorted((root / "perfbench").glob("*.py"))
     read = set()

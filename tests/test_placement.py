@@ -191,6 +191,19 @@ def test_theorem2_precondition():
         theorem2_overlap(0b11110000, 0b11100011, 4)
 
 
+@pytest.mark.parametrize("overlap, a, b, n, message", [
+    (theorem1_overlap, True, 14, 7, "K-code must be an integer, got True"),
+    (theorem1_overlap, 0, 15, 7.0, "map width must be an integer, got 7.0"),
+    (theorem1_overlap, 0, 15, 17, "map width must be in"),
+    (theorem2_overlap, True, 6, 4, "K-code must be an integer, got True"),
+    (theorem2_overlap, 1, 6, 4.0, "map width must be an integer, got 4.0"),
+    (theorem2_overlap, 1, 1 << 20 | 2, 16, "code 1048578 does not fit a 16-bit map"),
+], ids=["t1-bool", "t1-float-width", "t1-wide", "t2-bool", "t2-float-width", "t2-past-width"])
+def test_overlap_codes_are_refused_as_check_code_does(overlap, a, b, n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        overlap(a, b, n)
+
+
 def test_theorem3_xor_square_keeps_distance_2():
     for x1 in W4PLUS:
         for x2 in W4PLUS:
