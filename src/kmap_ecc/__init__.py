@@ -17,8 +17,7 @@ _EXPORTS = {
                      "reference_placements", "theorem1_overlap",
                      "theorem2_overlap", "triple_classes"), "placement"),
     **dict.fromkeys(("CodecTables", "Codeword", "DecodeReport", "build_tables",
-                     "covered_triples", "decode", "encode", "inject",
-                     "syndrome"), "codec"),
+                     "covered_triples", "decode", "encode", "inject"), "codec"),
     **dict.fromkeys(("CENSUS_FAMILIES", "CoverageReport", "MinParityReport",
                      "Theorem4Report", "census", "min_parity_search",
                      "theorem4_check", "three_bit_coverage"), "coverage"),

@@ -21,7 +21,7 @@ from .placement import (ErrorPattern, Placement, require_valid, _columns,
 
 __all__ = [
     "Codeword", "CodecTables", "DecodeReport",
-    "encode", "syndrome", "inject",
+    "encode", "inject",
     "covered_triples", "build_tables", "decode",
 ]
 
@@ -168,17 +168,6 @@ def encode(data_bits: Sequence[int], p: Placement, odd_parity: bool = False) -> 
     return _codeword(data | parity << d, d, p.n)
 
 
-def syndrome(word: Codeword, p: Placement, odd_parity: bool = False) -> int:
-    """Received parity XOR recomputed parity; zero iff all checks pass."""
-    w, d, n = word._word, word._d, word._n
-    if d != p.d or n != p.n:
-        raise ValueError("codeword shape does not match placement")
-    s = _parity(w & (1 << d) - 1, p.data) ^ w >> d
-    if odd_parity:
-        s ^= (1 << n) - 1
-    return s
-
-
 def inject(word: Codeword, pattern: ErrorPattern) -> Codeword:
     """Flip the pattern's members: one XOR with its mask over the word."""
     w, d, n = word._word, word._d, word._n
@@ -259,9 +248,17 @@ class CodecTables(_Value):
                  include_triples: bool):
         codes = placement.data
         d = len(codes)
-        parity_of = (partial(_parity, codes=codes) if d > _TABLE_D else
-                     [_parity(mask, codes) for mask in range(1 << d)].__getitem__)
-        super().__init__(placement, decode, include_triples)
+        if d > _TABLE_D:
+            parity_of = partial(_parity, codes=codes)
+        else:
+            parities = [0]  # by data mask: those with X_i set follow those without
+            for code in codes:
+                parities += [q ^ code for q in parities]
+            parity_of = parities.__getitem__
+        # its own stores, as DecodeReport's: render_map builds a table per map
+        _setattr(self, "placement", placement)
+        _setattr(self, "decode", decode)
+        _setattr(self, "include_triples", include_triples)
         _setattr(self, "_reader", (d, placement.n, parity_of))
         _setattr(self, "_squares", {})
 
@@ -285,9 +282,9 @@ def build_tables(p: Placement, include_triples: bool = False) -> CodecTables:
     an invalid placement.  The table is a read-only view, since
     :func:`decode`'s memo would go on answering for an edited square."""
     table = require_valid(p)
-    triples = _covered_triples(p, table) if include_triples else {}
+    if include_triples:
+        table.update(_covered_triples(p, table))
     del table[0]
-    table.update(triples)
     return CodecTables(p, MappingProxyType(table), include_triples)
 
 

@@ -119,13 +119,12 @@ class CensusRow(_Value):
         }
 
 
-def _census_row(family: int, label: str, n: int, mode: str) -> CensusRow:
-    cls = SClass.parse(label)
+def _census_row(family: int, cls: SClass, n: int, mode: str) -> CensusRow:
     rep = next(guided_search(n, 3, sclass=cls), None) if cls.fits(n) else None
     if rep is None:
-        return CensusRow(family, label, False, 0, dict.fromkeys(CLASS_KEYS, 0), None)
+        return CensusRow(family, cls.label, False, 0, dict.fromkeys(CLASS_KEYS, 0), None)
     report = three_bit_coverage(rep, mode)
-    return CensusRow(family, label, True, report.total, dict(report.counts), rep)
+    return CensusRow(family, cls.label, True, report.total, dict(report.counts), rep)
 
 
 def census(n: int = 7, mode: str = "strict", full: bool = False,
@@ -141,10 +140,11 @@ def census(n: int = 7, mode: str = "strict", full: bool = False,
     """
     check_width(n)
     if full:
-        labels = [(0, cls.label) for cls, _ in triple_classes(n)]
+        classes = [(0, cls) for cls, _ in triple_classes(n)]
     else:
-        labels = [(i + 1, lab) for i, fam in enumerate(CENSUS_FAMILIES) for lab in fam]
-    return tuple(_census_row(fam, lab, n, mode) for fam, lab in labels)
+        classes = [(i + 1, SClass.parse(label))
+                   for i, fam in enumerate(CENSUS_FAMILIES) for label in fam]
+    return tuple(_census_row(fam, cls, n, mode) for fam, cls in classes)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ import math
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 
 from .kcode import (MAX_WIDTH, MIN_WIDTH, check_code, check_width, from_parities,
-                    n_class, weight, _codes, _n_class, _Value)
+                    weight, _codes, _n_class, _Value)
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Collision",
@@ -206,17 +206,11 @@ class SClass(_Value):
 # side squares and double weights
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _offsets12(n: int) -> tuple[int, ...]:
-    """The n + C(n, 2) offsets of weight 1 or 2, the n units first: x's side
-    squares are x ^ t."""
-    return n_class(1, n) + n_class(2, n)
-
-
 def _flanked(codes: Sequence[int], n: int) -> set[int]:
     """The squares the parity structure occupies or flanks (the codes of weight
-    <= 3: 0, each P_k and P_kP_m, and their sides) plus each of `codes` and its sides."""
-    offsets = _offsets12(n)
+    <= 3: 0, each P_k and P_kP_m, and their sides) plus each of `codes` and its
+    sides, x ^ t for each offset t of weight 1 or 2."""
+    offsets = _codes(1, 2, n)
     out = set(_codes(0, 3, n))
     for x in codes:
         out.add(x)
@@ -226,7 +220,7 @@ def _flanked(codes: Sequence[int], n: int) -> set[int]:
 
 def _landings(x: int, taken: set[int], n: int) -> int:
     """How many side squares of `x` lie in `taken`."""
-    return sum(x ^ t in taken for t in _offsets12(n))
+    return sum(x ^ t in taken for t in _codes(1, 2, n))
 
 
 def double_weight_count(candidate: int, priors: Sequence[int], n: int) -> int:
@@ -239,19 +233,12 @@ def double_weight_count(candidate: int, priors: Sequence[int], n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _offset_set(lo: int, hi: int, n: int) -> frozenset[int]:
-    """The n-bit offsets of weight lo..hi as a set: x's side squares of
-    those orders are x ^ t."""
-    return frozenset(_codes(lo, hi, n))
-
-
-@lru_cache(maxsize=None)
 def _shared_sides(c: int, lo: int, hi: int, n: int) -> int:
     """How many side squares of weight-lo..hi offsets a and b = a ^ c share:
     a ^ s == b ^ t exactly when s == c ^ t, so the count depends on c alone
     (at most C(n, 4) values of c per theorem and width)."""
-    offsets = _offset_set(lo, hi, n)
-    return len(offsets.intersection([c ^ t for t in offsets]))
+    offsets = _codes(lo, hi, n)
+    return len({c ^ t for t in offsets}.intersection(offsets))
 
 
 def _check_pair(a: int, b: int, n: int) -> None:
@@ -367,8 +354,9 @@ def occupied_map(p: Placement) -> OccupiedResult:
     result, not an exception.
     """
     syndromes = _le2_syndromes(p)
-    patterns = tuple(chain.from_iterable(_pattern_index(p.d, p.n, size).patterns
-                                         for size in (0, 1, 2)))
+    d, n = p.d, p.n
+    patterns = (_pattern_index(d, n, 0).patterns + _pattern_index(d, n, 1).patterns
+                + _pattern_index(d, n, 2).patterns)
     mapping = dict(zip(syndromes, patterns))
     if len(mapping) == len(syndromes):
         return OccupiedResult(p, mapping, ())

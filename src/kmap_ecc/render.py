@@ -7,8 +7,8 @@ import io
 from operator import itemgetter
 
 from .kcode import GrayLayout, default_layout, _Value
-from .placement import Placement, forbidden_squares, require_valid
-from .codec import _covered_triples
+from .placement import Placement, forbidden_squares
+from .codec import build_tables
 
 __all__ = ["MapGrid", "CellDiff", "render_map", "diff_grids",
            "grid_to_text", "grid_to_csv", "grid_to_json", "grid_from_csv",
@@ -54,17 +54,15 @@ def render_map(p: Placement, include_triples: bool = False,
         if not (1 <= i <= p.d and 1 <= j <= p.d and i != j):
             raise ValueError(f"forbidden_for wants two distinct data indices in "
                              f"[1, {p.d}], got {i},{j}")
-    mapping = require_valid(p)
-    if include_triples:
-        mapping.update(_covered_triples(p, mapping))
+    table = build_tables(p, include_triples).decode
     rows, cols = layout._axes
     row_at, row_mask, col_at, col_mask = rows.index, rows.mask, cols.index, cols.mask
-    cells = {(row_at[code & row_mask], col_at[code & col_mask]): pat.label
-             for code, pat in mapping.items()}
-    cells[0, 0] = ZERO_LABEL     # square 0, the empty pattern's, is the origin
+    cells = {(0, 0): ZERO_LABEL}     # square 0, the empty pattern's, is the origin
+    for code, pat in table.items():
+        cells[row_at[code & row_mask], col_at[code & col_mask]] = pat.label
     if forbidden_for is not None:
         for code in forbidden_squares(p.data[i - 1], p.data[j - 1], p.n):
-            if code not in mapping:
+            if code not in table:
                 cells[layout.to_grid(code)] = FORBIDDEN_MARK
     return MapGrid(layout, cells)
 

@@ -437,9 +437,3 @@ def syndrome(data, parity, p, odd_parity):
     for k, b in enumerate(parity):
         s ^= b << k
     return s
-
-
-def offsets12(n):
-    """The n unit offsets, then the C(n, 2) offsets of weight 2."""
-    units = [1 << b for b in range(n)]
-    return tuple(units + [a ^ b for a, b in combinations(units, 2)])

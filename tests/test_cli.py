@@ -20,7 +20,8 @@ from kmap_ecc.placement import Placement
 def placement_files(refs, tmp_path_factory):
     root = tmp_path_factory.mktemp("placements")
     paths = {}
-    for name, p in refs.items():
+    # the n=10 witness of the unpruned min-parity sweep beside the references
+    for name, p in {**refs, "w10": Placement(10, (63, 455, 729))}.items():
         path = root / f"{name}.json"
         path.write_text(json.dumps(p.to_json()))
         paths[name] = str(path)
@@ -295,6 +296,86 @@ def test_render_formats(capsys, placement_files):
     code, out, _ = run_cli(capsys, "render", "--format", "csv",
                            "--placement", placement_files["s445_433"])
     assert code == 0 and out.splitlines()[0] == "row,col,label"
+
+
+#: The render options of each mode the map pins cover.
+RENDER_MODES = {"plain": (), "triples": ("--triples",), "forbidden": ("--forbidden-for", "1,2")}
+
+#: sha256 of ``render`` stdout in text, csv and json, by placement and mode:
+#: every byte the map layer prints, whichever table the map is read from.
+RENDER_DIGESTS = {
+    ('s44_4', 'plain'): (
+        '95f634a8913b67224033b9cf02205c3998b07acf63a8b7708277ca291a3e7fdf',
+        'ab96d4fe360684c2c8391fb165dd5ec338c9be790083e2dfc29e57ec369abc15',
+        'e4ef307f1fe32f0c215ce3886aa4ce498f9c6a9ca36eddcd09e938365a1ee87e',
+    ),
+    ('s44_4', 'triples'): (
+        '9b9ae7c3d739a7594b3e4f5278b641e4c4993b1c44483b2e04e622be99d0cf5b',
+        '5670e090a01f4f5f5c24114ae6f36c4ce3145ff5a960b661ce911b61792b4068',
+        'cc5f1bc97d10c0d345a57f4be26b77091fef904d17ee15f9af8f2554dbcfff4b',
+    ),
+    ('s44_4', 'forbidden'): (
+        'b73f17692c166235fb121ca4a8d6b83822db531af85ac233f39b9cce10050c7e',
+        'a1ddd4b36f4d0b7635396930411c3d0d3315dea05b4d0b4e4ff9050125a66427',
+        'c89c558e6eb3f11f570dc454c2ff9f5d6170ec6d0311bf621267a1202dc229c9',
+    ),
+    ('s445_433', 'plain'): (
+        '80c2d0360f03eb9187c48016f8ff3818b3329e26b02f869118f1a1859cc6997b',
+        'c33a36bb91c0b76fdb517d49d8e5a5acf5378c7cf426a11e6d91bce29381575e',
+        '75dfe9bcc2439b9d74e9cf04e5fd8c24bc0077c5eae65f635e9cebc7491b79c2',
+    ),
+    ('s445_433', 'triples'): (
+        '4999c3593beb74107c7fd7041ed4485947cd24ad10ae42aaf0cf2acf94a5a235',
+        '10ddae4eaa70d960c099def11c187d72ebc4aa43f7837e3a6d5af6a7df6b35a2',
+        'bb503c476fafb47c0dc6e5711c3856194aec93ee3c2418b1f7b1a70abf224f6b',
+    ),
+    ('s445_433', 'forbidden'): (
+        'bcc6aec87b3448493e77f67726a9fe474b19ba7252357db9a6c88a20954518cd',
+        'e1973ad6071cdf06fe6ee6efdaf63805ef4a08d37b1e6b495acd84b5a16631b1',
+        'e2d38a95977e9113618a65be560afc90b7029461bf8206f3c98bccdd52d2decc',
+    ),
+    ('s447_433', 'plain'): (
+        'a0f4a71b290cebef8341b9d5c9d11e98a9574a34ddb1eed2dadefdd9b6f83dad',
+        '644acd9504fbec3d776ed34fe59ca044a08542f74fdd2a866e43d4ff8d899b77',
+        'b1dad29b91074fad4a212a17b552d4ec2e17d89461b837eb345dac5328a01d8b',
+    ),
+    ('s447_433', 'triples'): (
+        '42b2ad5738d3f47460ef8ce159b5d0de7fbb85c54ad6afbb58e9367a4afa8d9d',
+        '96ef049dcce0dd226df684b78edc368ce02d4902bbd0ad4881f391a5ebf459e4',
+        '2524401116e51672d50941e00a95c55881a0387cb25df681f5fde4de4008add3',
+    ),
+    ('s447_433', 'forbidden'): (
+        'd6a2e7b44f67df2373cd8af71ecb5d639c2f7618f9eb5afb36293fec4339bdbf',
+        '01116fcdd2749b293d2d001f26e321d6b7fe4265d46de9623af96f4bb3edab49',
+        '3f01b4a09e7abbae2c1593b6874e57d472d5973949a9c4d589e0087c6c45203a',
+    ),
+    ('w10', 'plain'): (
+        '2aa4449458894485f26f1432450a6cc6ddd90e4afd7a32cc2e8d317cd3ae9879',
+        '6b401fb0bae9f15c967d1d8f350d425e87d4597f84ef6e412dffe67f25410fae',
+        '23d0cc92e9639b4f6cfdb0a1cd499a3fe6f63185962ee42a6cd9e57e41958619',
+    ),
+    ('w10', 'triples'): (
+        '20e4085f7314521b3c32d95ee9aa87d5bce5a9b73f41ed1470ca584bc8ce3131',
+        'fa29d5cffe594e191cb3d6c678daf984d995fadf3fd087ec0f06edf4ae85c8b6',
+        '4939888bb47e24ea6763df498c9662ca8760ef85247e90f3502a0d2f92998964',
+    ),
+    ('w10', 'forbidden'): (
+        'f6a2932b3a1f15bdc894275731959778f39806d43532bb5004a2e46705696e57',
+        'd709f9f42c9969f45b36e64bb89206552ba4723646a2ba52579025a7dc447e77',
+        '737142a6cfc18a15f7959d66c0093b122552623273131713f02d9769a1061254',
+    ),
+}
+
+
+@pytest.mark.parametrize("name, mode", RENDER_DIGESTS, ids="-".join)
+def test_render_stdout_is_pinned(capsys, placement_files, name, mode):
+    digests = []
+    for fmt in ("text", "csv", "json"):
+        code, out, err = run_cli(capsys, "render", "--placement", placement_files[name],
+                                 "--format", fmt, *RENDER_MODES[mode])
+        assert (code, err) == (0, "")
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == RENDER_DIGESTS[name, mode]
 
 
 @pytest.mark.parametrize("pair", ["1,1", "1,9", "0,2", "3,4"])

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from kmap_ecc.codec import (CodecTables, Codeword, build_tables, covered_triples, decode,
-                            encode, inject, syndrome)
+                            encode, inject)
 from kmap_ecc.kcode import from_parities, weight
 from kmap_ecc.placement import (ErrorPattern, Placement, PlacementError,
                                 guided_search, is_valid)
@@ -20,6 +20,11 @@ from kmap_ecc.placement import (ErrorPattern, Placement, PlacementError,
 
 def all_data_values(d):
     return list(product((0, 1), repeat=d))
+
+
+def syndrome(word, tables, odd=False):
+    """The syndrome :func:`decode` reports for `word`: 0 for a clean word."""
+    return decode(word, tables, odd)[1].syndrome
 
 
 def test_zero_data_gives_zero_parity(refs):
@@ -41,8 +46,9 @@ def test_two_data_bits_xor_their_masks(refs):
 
 def test_clean_codeword_zero_syndrome(refs):
     p = refs["s447_433"]
+    tables = build_tables(p)
     for bits in all_data_values(3):
-        assert syndrome(encode(bits, p), p) == 0
+        assert syndrome(encode(bits, p), tables) == 0
 
 
 @pytest.mark.parametrize("odd", [False, True])
@@ -50,12 +56,13 @@ def test_encode_parity_follows_int_data_bits(refs, odd):
     """Bits given as strings or floats encode as their int values: "0" is a
     zero bit although the string is true."""
     p = refs["s447_433"]
+    tables = build_tables(p)
     for bits in all_data_values(3):
         want = encode(bits, p, odd)
         for given_bits in ([str(b) for b in bits], [float(b) for b in bits]):
             word = encode(given_bits, p, odd)
             assert word == want
-            assert syndrome(word, p, odd) == 0
+            assert syndrome(word, tables, odd) == 0
 
 
 @pytest.mark.parametrize("d", range(1, 10))
@@ -88,9 +95,8 @@ def test_encode_and_decode_keep_their_errors(refs):
         with pytest.raises(TypeError):
             encode(given_bits, p)
     short = Codeword((0, 0, 0), (0,) * 6)
-    for call in (lambda: syndrome(short, p), lambda: decode(short, build_tables(p))):
-        with pytest.raises(ValueError, match="codeword shape does not match placement"):
-            call()
+    with pytest.raises(ValueError, match="codeword shape does not match placement"):
+        decode(short, build_tables(p))
 
 
 @pytest.mark.parametrize("n,pattern,past", [
@@ -107,25 +113,27 @@ def test_inject_rejects_members_past_the_word(n, pattern, past):
 
 def test_data_flip_yields_that_mask(refs):
     p = refs["s445_433"]
+    tables = build_tables(p)
     for i in range(3):
         word = inject(encode([0, 0, 0], p), ErrorPattern.of(data=(i + 1,)))
-        assert syndrome(word, p) == p.data[i]
+        assert syndrome(word, tables) == p.data[i]
 
 
 def test_syndrome_linearity_all_patterns_up_to_3(refs):
     p = refs["s445_433"]
-    clean = encode([1, 0, 1], p)
+    clean, tables = encode([1, 0, 1], p), build_tables(p)
     for pat in oracles.iter_patterns(p, (1, 2, 3)):
-        assert syndrome(inject(clean, pat), p) == oracles.pattern_syndrome(pat, p)
+        assert syndrome(inject(clean, pat), tables) == oracles.pattern_syndrome(pat, p)
 
 
 def test_odd_parity_round_trip(refs):
     p = refs["s445_433"]
+    tables = build_tables(p)
     for bits in all_data_values(3):
         word = encode(bits, p, odd_parity=True)
-        assert syndrome(word, p, odd_parity=True) == 0
+        assert syndrome(word, tables, odd=True) == 0
         # every subset check sums to one
-        assert syndrome(word, p) == (1 << 7) - 1
+        assert syndrome(word, tables) == (1 << 7) - 1
 
 
 def test_build_tables_entry_counts(refs):
@@ -273,9 +281,8 @@ def test_codec_matches_bitwise_references(p, odd, triples, data):
                           parities=[i - p.d for i in members if i > p.d])
     received = inject(word, pat)
     assert (received.data, received.parity) == oracles.inject(word.data, word.parity, pat)
-    assert (syndrome(received, p, odd)
-            == oracles.syndrome(received.data, received.parity, p, odd))
     fixed, report = decode(received, build_tables(p, triples), odd)
+    assert report.syndrome == oracles.syndrome(received.data, received.parity, p, odd)
     assert ((report.status, report.syndrome, report.pattern, fixed.bits)
             == oracles.decode(received.bits, p, oracles.decode_table(p, triples), odd))
     for w in (word, received, fixed):
@@ -315,9 +322,8 @@ def test_wide_codec_matches_bitwise_references(n, d, start, odd, triples, data):
                           parities=[i - d for i in members if i > d])
     received = inject(word, pat)
     assert (received.data, received.parity) == oracles.inject(word.data, word.parity, pat)
-    assert (syndrome(received, p, odd)
-            == oracles.syndrome(received.data, received.parity, p, odd))
     fixed, report = decode(received, build_tables(p, triples), odd)
+    assert report.syndrome == oracles.syndrome(received.data, received.parity, p, odd)
     assert ((report.status, report.syndrome, report.pattern, fixed.bits)
             == oracles.decode(received.bits, p, oracles.decode_table(p, triples), odd))
 
@@ -326,14 +332,15 @@ def test_codeword_views_round_trip_every_mask():
     """Every mask of up to 12 bits is the word of the codeword of its bits,
     as parity bits or as data bits, and the parity syndrome of no data."""
     for n in range(13):
+        tables = build_tables(Placement(n, ())) if n >= 4 else None
         for mask in range(1 << n):
             bits = tuple(oracles.parity_bits(mask, n))
             as_parity, as_data = Codeword((), bits), Codeword(bits, ())
             assert as_parity.word == as_data.word == mask
             assert as_parity.parity == as_parity.bits == as_data.data == as_data.bits == bits
             assert as_parity.data == as_data.parity == ()
-            if n >= 4:
-                assert syndrome(as_parity, Placement(n, ())) == mask
+            if tables:
+                assert syndrome(as_parity, tables) == mask
 
 
 def test_codeword_is_a_value(refs):
@@ -368,8 +375,8 @@ def test_codeword_stores_int_bits(refs, data, parity):
     assert type(word.data) is tuple and type(word.parity) is tuple
     assert all(type(b) is int for b in word.bits)
     assert word.binary() == "1000100000" and word.hex() == want.hex()
-    p = refs["s447_433"]
-    assert syndrome(word, p) == syndrome(want, p)
+    tables = build_tables(refs["s447_433"])
+    assert syndrome(word, tables) == syndrome(want, tables)
     assert inject(word, ErrorPattern.of(parities=(2,))).parity == (0,) * 7
 
 

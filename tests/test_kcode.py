@@ -7,6 +7,8 @@ import math
 import pkgutil
 import random
 import re
+import symtable
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -326,31 +328,89 @@ UNREAD_EXPORTS_KEPT = {
 }
 
 
+def _inline_python(script: str) -> list[str]:
+    """The Python a shell script runs inline: each ``python - <<'PY'``
+    heredoc and each single-quoted ``python -c`` argument."""
+    heredocs = re.findall(r"python3? - <<'PY'\n(.*?)^[ \t]*PY$", script, re.DOTALL | re.MULTILINE)
+    return [textwrap.dedent(h) for h in heredocs] + re.findall(r"python3? -c '([^']*)'", script)
+
+
+def _export_reads(source: str, module: str | None = None) -> set[str]:
+    """The package-root exports that `source` reads at a call site that
+    resolves to the export: ``from kmap_ecc[.module] import name``, where
+    the module is the root or the defining submodule; ``x.name``, where x
+    is bound by an import to either of them; and, when `source` is the
+    package module `module`, a bare load that resolves to module scope,
+    found by ``symtable``, in the module that defines the export.  A
+    parameter or a local of an export's name is no read, nor is an
+    attribute of anything but those modules."""
+    owner = {name: f"kmap_ecc.{sub}" for name, sub in kmap_ecc._EXPORTS.items()}
+    modules = {"kmap_ecc"} | {f"kmap_ecc.{info.name}"
+                              for info in pkgutil.iter_modules(kmap_ecc.__path__)}
+    tree = ast.parse(source)
+    bound, read = {}, set()     # bound: a name bound to a package module -> that module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name in modules:
+                    bound[alias.asname] = alias.name
+                elif alias.name.split(".")[0] == "kmap_ecc":
+                    bound["kmap_ecc"] = "kmap_ecc"      # import kmap_ecc.cli binds the root
+        elif isinstance(node, ast.ImportFrom):
+            origin = node.module
+            if node.level:
+                base = module.rsplit(".", node.level)[0]
+                origin = f"{base}.{node.module}" if node.module else base
+            for alias in node.names:
+                if f"{origin}.{alias.name}" in modules:
+                    bound[alias.asname or alias.name] = f"{origin}.{alias.name}"
+                elif origin in ("kmap_ecc", owner.get(alias.name)):
+                    read.add(alias.name)
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            if base and f"{base}.{node.attr}" in modules:
+                return f"{base}.{node.attr}"
+        return None
+
+    read.update(node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in owner and resolve(node.value) in ("kmap_ecc", owner[node.attr]))
+    if module is not None:
+        # elsewhere a module-scope name of an export's spelling is an import,
+        # counted above, or the module's own
+        tables = [symtable.symtable(source, module, "exec")]
+        while tables:
+            table = tables.pop()
+            tables += table.get_children()
+            read.update(sym.get_name() for sym in table.get_symbols()
+                        if owner.get(sym.get_name()) == module and sym.is_referenced()
+                        and (table.get_type() == "module" or sym.is_global()))
+    return read
+
+
 def test_every_export_is_read_outside_the_tests():
-    """Each name of the package root's lazy export table is read somewhere
-    other than ``tests/``: as a name load, an attribute load or a ``from
-    ... import`` in a package module besides ``__init__`` or in
-    ``perfbench``, in the text of a CI workflow, or in a fenced code block
-    of the README.  A read is matched by name alone, so an export named
-    like an attribute read elsewhere is not caught: a ``kcode.parities``
-    export would pass as perfbench's ``pat.parities`` field."""
+    """Each name of the package root's lazy export table is read, at a call
+    site that resolves to it (see :func:`_export_reads`), somewhere other
+    than ``tests/``: in a package module besides ``__init__``, in
+    ``perfbench``, in the inline Python of a CI workflow, or in a fenced
+    code block of the README (Python, or the inline Python of a shell one)."""
     root = Path(__file__).resolve().parents[1]
     package = Path(kmap_ecc.__file__).parent
-    exported = set(kmap_ecc._EXPORTS)
-    sources = [path for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
-    sources += sorted((root / "perfbench").glob("*.py"))
     read = set()
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
-    texts = [path.read_text() for path in sorted((root / ".github" / "workflows").glob("*.yml"))]
-    texts += re.findall(r"^```[^\n]*\n(.*?)^```", (root / "README.md").read_text(),
-                        re.DOTALL | re.MULTILINE)
-    unread = {name for name in exported - read
-              if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)}
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "__init__":
+            read |= _export_reads(path.read_text(), f"kmap_ecc.{path.stem}")
+    snippets = [path.read_text() for path in sorted((root / "perfbench").glob("*.py"))]
+    for path in sorted((root / ".github" / "workflows").glob("*.yml")):
+        snippets += _inline_python(path.read_text())
+    for lang, body in re.findall(r"^```(\w*)\n(.*?)^```", (root / "README.md").read_text(),
+                                 re.DOTALL | re.MULTILINE):
+        snippets += [body] if lang in ("python", "py") else _inline_python(body)
+    for text in snippets:
+        read |= _export_reads(text)
+    unread = set(kmap_ecc._EXPORTS) - read
     assert sorted(unread) == sorted(UNREAD_EXPORTS_KEPT)

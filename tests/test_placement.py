@@ -25,7 +25,7 @@ from kmap_ecc.placement import (BLESSED_PAIR_SITUATIONS, ErrorPattern,
                                 forbidden_squares, guided_search, is_valid,
                                 naive_search, occupied_map,
                                 reference_placements, theorem1_overlap,
-                                theorem2_overlap, triple_classes, _offsets12,
+                                theorem2_overlap, triple_classes,
                                 _placement)
 
 W4PLUS = [x for x in range(128) if weight(x) >= 4]
@@ -102,14 +102,6 @@ def test_reference_placements_valid(refs):
 
 
 # --- side-square offsets and double-weight counts ---
-
-@pytest.mark.parametrize("n", range(4, 17))
-def test_offsets12_match_combinations_build(n):
-    offsets, reference = _offsets12(n), oracles.offsets12(n)
-    assert len(offsets) == len(set(offsets)) == len(reference)
-    assert set(offsets) == set(reference)
-    assert offsets[:n] == reference[:n]     # the units first
-
 
 def test_single_counts_by_weight_class():
     expected = {4: 10, 5: 10, 6: 0, 7: 0}
