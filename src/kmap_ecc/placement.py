@@ -15,8 +15,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .kcode import (MAX_WIDTH, MIN_WIDTH, check_code, check_width, from_parities,
-                    weight, _codes, _n_class, _Value)
+from .kcode import (check_code, check_width, from_parities, weight, _codes,
+                    _n_class, _Value)
 
 __all__ = [
     "ErrorPattern", "Placement", "SClass", "Collision",
@@ -241,20 +241,12 @@ def _shared_sides(c: int, lo: int, hi: int, n: int) -> int:
     return len({c ^ t for t in offsets}.intersection(offsets))
 
 
-def _check_pair(a: int, b: int, n: int) -> None:
-    """:func:`check_code` on both codes, in one type and range test unless
-    one of them fails it."""
-    if not (type(a) is type(b) is type(n) is int and MIN_WIDTH <= n <= MAX_WIDTH
-            and 0 <= a < 1 << n and 0 <= b < 1 << n):
-        check_code(a, n)    # raises, naming what is wrong
-        check_code(b, n)
-
-
 def theorem1_overlap(a: int, b: int, n: int) -> int:
     """Count of shared order-2 side squares for a distance-4 pair (always 6)."""
     if (a ^ b).bit_count() != 4:
         raise ValueError("theorem1_overlap requires Hamming distance exactly 4")
-    _check_pair(a, b, n)
+    check_code(a, n)
+    check_code(b, n)
     return _shared_sides(a ^ b, 2, 2, n)
 
 
@@ -264,7 +256,8 @@ def theorem2_overlap(a: int, b: int, n: int) -> int:
         raise ValueError("theorem2_overlap requires weights differing by exactly 1")
     if (a ^ b).bit_count() != 3:
         raise ValueError("theorem2_overlap requires Hamming distance exactly 3")
-    _check_pair(a, b, n)
+    check_code(a, n)
+    check_code(b, n)
     return _shared_sides(a ^ b, 1, 2, n)
 
 

@@ -11,7 +11,9 @@ valid-placement fast path and the layout tables replaced, the
 bit-at-a-time parity packing and syndrome fold the codec's byte tables
 replaced, side squares by a scan of every square of the map, and the
 views only tests read: a pattern's syndrome, an S-class's sort key, a
-burst census's shapes and a placement with its parity bits relabelled.
+burst census's shapes and a placement with its parity bits relabelled, and
+the pairs of codes meeting theorems 1-3's hypotheses, which the check of
+one pair per XOR offset replaced.
 
 Each syndrome oracle lists error patterns and their syndromes outright,
 so it shares no reasoning with :func:`kmap_ecc.placement._collides` beyond
@@ -395,6 +397,18 @@ def parse_grid_csv(text, layout):
             raise ValueError(f"cell ({rowbits}, {colbits}) does not fit the layout")
         cells[(gray_position(int(rowbits, 2)), gray_position(int(colbits, 2)))] = label
     return cells
+
+
+def theorem_pairs(n):
+    """Every ordered pair of n-bit codes that meets the hypothesis of
+    theorem 1 (distance 4), theorem 2 (distance 3, weights differing by 1)
+    and theorem 3 (distinct, both of weight >= 4), filtered from all 2^2n
+    pairs."""
+    pairs = [(a, b) for a in range(1 << n) for b in range(1 << n)]
+    return ([(a, b) for a, b in pairs if (a ^ b).bit_count() == 4],
+            [(a, b) for a, b in pairs
+             if abs(a.bit_count() - b.bit_count()) == 1 and (a ^ b).bit_count() == 3],
+            [(a, b) for a, b in pairs if a != b and a.bit_count() >= 4 and b.bit_count() >= 4])
 
 
 def side_squares(code, order, n):

@@ -1,11 +1,13 @@
 """Burst-safe transmission orderings, mostly for the 10-bit reference map."""
 
+import gc
 import multiprocessing
 import random
 
 import pytest
 
 import oracles
+from kmap_ecc import burst
 from kmap_ecc.burst import (BURST_STATE_BUDGET, Ordering, _allowed_thirds,
                             _twin_classes, burst_triples, failing_window,
                             search_orderings)
@@ -214,3 +216,28 @@ def test_search_over_state_budget_is_refused(n):
     report = three_bit_coverage(next(guided_search(n, 3)))
     with pytest.raises(ValueError, match=f"budget of {BURST_STATE_BUDGET:,} states"):
         search_orderings(report)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_search_leaves_the_collector_as_it_found_it(monkeypatch, ref447_report, collecting):
+    """The walk runs with the cyclic collector off; afterwards it is on
+    again only if it was on before, after a census and after a refusal."""
+    during, real = set(), burst._members
+
+    def members(bits):
+        during.add(gc.isenabled())
+        return real(bits)
+
+    monkeypatch.setattr(burst, "_members", members)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert search_orderings(ref447_report).total == 640
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(burst, "BURST_STATE_BUDGET", 10)
+        with pytest.raises(ValueError, match="budget of 10 states"):
+            search_orderings(ref447_report)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert False in during      # the walk's calls saw the collector off

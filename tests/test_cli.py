@@ -2,15 +2,15 @@
 
 import hashlib
 import json
-import random
+import math
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import kmap_ecc
+import oracles
 from kmap_ecc import cli
 from kmap_ecc.cli import main
 from kmap_ecc.placement import Placement
@@ -506,35 +506,62 @@ def test_verify_theorems(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_verify_theorems_sampled_at_8(capsys):
-    code, out, _ = run_cli(capsys, "verify-theorems", "--n", "8",
-                           "--samples", "2000", "--seed", "42")
-    assert code == 0
+def test_verify_theorems_at_8_ignores_samples_and_seed(capsys):
+    outs = set()
+    for flags in ((), ("--samples", "2000", "--seed", "42"), ("--samples", "100")):
+        code, out, _ = run_cli(capsys, "verify-theorems", "--n", "8", *flags)
+        assert code == 0
+        outs.add(out)
+    (out,) = outs
     lines = out.strip().splitlines()
     assert lines[0].startswith("SKIP")
     assert sum(1 for line in lines if line.startswith("PASS")) == 3
 
 
-def _hypotheses(pairs):
-    """The pairs of theorems 1, 2 and 3 among `pairs`, filtered as the
-    command did before it enumerated them."""
-    return ([(a, b) for a, b in pairs if (a ^ b).bit_count() == 4],
-            [(a, b) for a, b in pairs
-             if abs(a.bit_count() - b.bit_count()) == 1 and (a ^ b).bit_count() == 3],
-            [(a, b) for a, b in pairs if a != b and a.bit_count() >= 4 and b.bit_count() >= 4])
+def _verdicts(capsys, n):
+    """Theorems 1-3's verdicts from ``verify-theorems --n n``: one pair per
+    XOR offset."""
+    main(["verify-theorems", "--n", str(n)])
+    lines = capsys.readouterr().out.splitlines()
+    return [line.startswith("PASS") for line in lines
+            if line[6:14] in ("theorem1", "theorem2", "theorem3")]
+
+
+def _pair_verdicts(n):
+    """Theorems 1-3's verdicts over every pair that meets each hypothesis."""
+    pairs1, pairs2, pairs3 = oracles.theorem_pairs(n)
+    return [all(cli.theorem1_overlap(a, b, n) == 6 for a, b in pairs1),
+            all(cli.theorem2_overlap(a, b, n) == 6 for a, b in pairs2),
+            all((a ^ b ^ a).bit_count() >= 2 and (a ^ b ^ b).bit_count() >= 2
+                for a, b in pairs3)]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_theorem_pairs_are_every_pair_that_meets_each_hypothesis(n):
-    every = [(a, b) for a in range(1 << n) for b in range(1 << n)]
-    got = cli._theorem_pairs(n, 20000, 0)
-    assert list(map(Counter, got)) == list(map(Counter, _hypotheses(every)))
+def test_per_offset_verdicts_match_the_pair_oracle(capsys, monkeypatch, n):
+    """Each verdict equals the pair oracle's, and both fail when one XOR
+    offset's overlap is patched to 5."""
+    assert _verdicts(capsys, n) == _pair_verdicts(n) == [True, True, True]
+    for name, weight in (("theorem1_overlap", 4), ("theorem2_overlap", 3)):
+        real = getattr(cli, name)
+        bad = ((1 << weight) - 1) << (n - weight)
+        monkeypatch.setattr(cli, name, lambda a, b, n: 5 if a ^ b == bad else real(a, b, n))
+        want = [name != "theorem1_overlap", name != "theorem2_overlap", True]
+        assert _verdicts(capsys, n) == _pair_verdicts(n) == want
+        monkeypatch.setattr(cli, name, real)
 
 
-def test_sampled_theorem_pairs_keep_their_stream():
-    rng = random.Random(42)
-    sample = [(rng.randrange(256), rng.randrange(256)) for _ in range(2000)]
-    assert list(cli._theorem_pairs(8, 2000, 42)) == list(_hypotheses(sample))
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_verify_theorems_checks_each_xor_offset_once(capsys, monkeypatch, n):
+    calls = {}
+    for name in ("theorem1_overlap", "theorem2_overlap"):
+        def counted(a, b, n, real=getattr(cli, name), seen=calls.setdefault(name, [])):
+            seen.append(a ^ b)
+            return real(a, b, n)
+        monkeypatch.setattr(cli, name, counted)
+    code, out, _ = run_cli(capsys, "verify-theorems", "--n", str(n))
+    assert code == 0 and out.count("PASS") == 3
+    for name, weight in (("theorem1_overlap", 4), ("theorem2_overlap", 3)):
+        assert len(calls[name]) == len(set(calls[name])) == math.comb(n, weight)
 
 
 def test_verify_theorems_failure_is_domain_failure(capsys, monkeypatch):
@@ -586,7 +613,7 @@ HELP_DIGESTS = {
     'burst check': 'db570311224e633633c1fca5a2aced2088662885d37a26492ffa25cb3fee3ac9',
     'render': '3b5d48a7abe212f6922689391fd6ccf900e0130c8bf455d6f0ae29fd7fbada9f',
     'diff': 'ce7e9a8681865da5e0aa12017cfff75f05005897767104258bee30c11272ed94',
-    'verify-theorems': '2d7aa8e2e4401e5e68c8301471a0c8f430c4a1c616eb292006bb3180d9d3695a',
+    'verify-theorems': '1595a2744bd5a32598afccd155e249f361e96e3f2f8d231e955a440f61d6bceb',
     'bench': '16ca4f1df1c600bc5081a0267e76d093580c8f8725ba698d7e80ef530a589e77',
 }
 
@@ -726,13 +753,31 @@ print(sorted({{"dataclasses", "inspect", "random", "typing"}} & set(sys.modules)
 
 
 def test_cli_import_loads_no_dataclasses_inspect_typing_or_random():
-    """Each of the four adds to every command's start; only
-    ``verify-theorems`` past n=7 samples with ``random``.  The interpreter
-    runs without ``site``, which may preload ``typing``."""
+    """Each of the four adds to every command's start, and no command loads
+    ``random`` (below).  The interpreter runs without ``site``, which may
+    preload ``typing``."""
     src = str(Path(kmap_ecc.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", _START_UP.format(src=src)],
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+_THEOREMS_AT_8 = """
+import sys
+sys.path.insert(0, {src!r})
+from kmap_ecc.cli import main
+code = main(["verify-theorems", "--n", "8"])
+print(code, "random" in sys.modules)
+"""
+
+
+def test_verify_theorems_past_7_loads_no_random():
+    """Theorems 1-3 are checked per XOR offset at every width, so nothing
+    is sampled; the interpreter runs without ``site``, as above."""
+    src = str(Path(kmap_ecc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _THEOREMS_AT_8.format(src=src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 _LAZY_START = """
